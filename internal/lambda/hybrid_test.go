@@ -127,3 +127,75 @@ func TestHybridBatchesTheSyntheticHotPath(t *testing.T) {
 	}
 	t.Logf("batched %d fast events over 10 trials (~%d per trial)", fast, fast/10)
 }
+
+// TestHybridSyntheticWorkCounters pins the hybrid's deterministic work
+// counters on the synthetic model. Its trials never apply a leap chunk
+// (the relay absorbs the clock; every other step is exact), so each trial
+// does exactly one full propensity recompute — the one at Reset — and
+// every later propensity is refreshed per channel. The per-channel count
+// is an exact function of the seed: it repeats at one seed and moves at
+// the next.
+func TestHybridSyntheticWorkCounters(t *testing.T) {
+	m := SyntheticModel().WithEngine(sim.EngineHybrid)
+	const moi = 5
+	gen := rng.NewStream(41, 0)
+	h := m.EngineFactoryAt(moi)(gen).(*sim.Hybrid)
+	classify := m.Classifier(moi)
+	channels := int64(m.Net.NumReactions())
+	trial := func(seed uint64) (full, evals int64) {
+		gen.Reseed(seed, 0)
+		if out := classify(h); out == mc.None {
+			t.Fatalf("seed %d: trial unresolved", seed)
+		}
+		return h.FullRecomputes(), h.PropensityEvals()
+	}
+	for seed := uint64(0); seed < 20; seed++ {
+		full, evals := trial(seed)
+		if full != 1 {
+			t.Fatalf("seed %d: %d full recomputes, want 1 (at Reset)", seed, full)
+		}
+		if evals <= channels {
+			t.Fatalf("seed %d: %d propensity evaluations, want more than the %d of the Reset recompute",
+				seed, evals, channels)
+		}
+	}
+	_, a := trial(7)
+	_, b := trial(7)
+	_, c := trial(8)
+	if a != b {
+		t.Errorf("propensity evaluations differ at one seed: %d vs %d", a, b)
+	}
+	if a == c {
+		t.Errorf("propensity evaluations identical at seeds 7 and 8 (%d): counter not tracking the trial", a)
+	}
+	t.Logf("seed 7: %d evaluations (%d channels), seed 8: %d", a, channels, c)
+}
+
+// TestHybridSyntheticTrialZeroAllocs extends the sim package's Hybrid
+// Reset+Step allocation pin to full synthetic-model race trials through
+// the Monte Carlo trial bodies (Classifier and Observer): on a reused
+// engine a whole trial allocates nothing.
+func TestHybridSyntheticTrialZeroAllocs(t *testing.T) {
+	m := SyntheticModel().WithEngine(sim.EngineHybrid)
+	const moi = 3
+	gen := rng.NewStream(43, 0)
+	eng := m.EngineFactoryAt(moi)(gen)
+	classify := m.Classifier(moi)
+	observe := m.Observer(moi)
+	classify(eng) // warm up
+	var trial uint64
+	if n := testing.AllocsPerRun(20, func() {
+		trial++
+		gen.Reseed(43, trial)
+		classify(eng)
+	}); n != 0 {
+		t.Errorf("Classifier trial allocates %.1f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		trial++
+		gen.Reseed(43, trial)
+		observe(eng)
+	}); n != 0 {
+		t.Errorf("Observer trial allocates %.1f times, want 0", n)
+	}
+}

@@ -89,17 +89,32 @@ type Hybrid struct {
 	chainLamB      []float64 // per chain: summed direct-B-producer propensity
 	chainOfChannel []int     // channel → owning chain index, or -1
 
-	prop       []float64
-	inLeap     []bool // channel in this iteration's generic leap set
+	// prop is kept current incrementally: state changes record which
+	// propensities they made stale, and refresh/refreshExactOnly recompute
+	// exactly those before reading prop (applyPending).
+	prop         []float64
+	pendingFull  bool    // every propensity is stale (after an applied leap chunk)
+	pendingFired int     // compiled channel whose dependents are stale, or -1
+	pendingRelay bool    // relay/chain species moved: relayReaders are stale
+	relayReaders []int32 // channels with a reactant owned by a relay or chain
+
+	// Channel classes under the current relay/chain activity pattern, each
+	// in ascending compiled order so every sum over them folds in the order
+	// of a full channel scan. Rebuilt only when the pattern changes.
+	exactChans  []int32 // not relay-handled, not fast-eligible
+	leapChans   []int32 // not relay-handled, fast-eligible: the leap pool
+	liveChans   []int32 // not relay-handled: exactChans ∪ leapChans
+	leapDemoted bool    // this iteration's leap pool joined the exact race
+
 	counts     []int64
 	drift      []float64
 	sigma2     []float64
 	next       chem.State
 	fastEvents int64
 
-	// cgpTau selectors, built once so the hot path never allocates.
-	leapContributes func(c int) bool
-	leapBounds      func(c int) bool
+	// Deterministic work counters since the last Reset.
+	fullRecomputes int64
+	propEvals      int64
 }
 
 // NewHybrid returns a Hybrid engine over net at the default initial state.
@@ -124,7 +139,9 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 		Epsilon:    0.03,
 		LeapFactor: 10,
 		prop:       make([]float64, comp.NumChannels()),
-		inLeap:     make([]bool, comp.NumChannels()),
+		exactChans: make([]int32, 0, comp.NumChannels()),
+		leapChans:  make([]int32, 0, comp.NumChannels()),
+		liveChans:  make([]int32, 0, comp.NumChannels()),
 		counts:     make([]int64, comp.NumChannels()),
 		drift:      make([]float64, comp.NumSpecies()),
 		sigma2:     make([]float64, comp.NumSpecies()),
@@ -192,8 +209,15 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 			h.chainDeps[k] = append(h.chainDeps[k], comp.Channel[i])
 		}
 	}
-	h.leapContributes = func(c int) bool { return h.inLeap[c] }
-	h.leapBounds = func(c int) bool { return !h.relayHandledActive(c) }
+	for c := 0; c < comp.NumChannels(); c++ {
+		for k := comp.ReactStart[c]; k < comp.ReactStart[c+1]; k++ {
+			if h.isRelaySpecies[comp.ReactSpecies[k]] {
+				h.relayReaders = append(h.relayReaders, int32(c))
+				break
+			}
+		}
+	}
+	h.buildClasses() // every relay and chain starts inactive
 	h.Reset(net.InitialState(), 0)
 	return h
 }
@@ -212,11 +236,22 @@ func (h *Hybrid) Time() float64 { return h.t }
 // stepped one by one.
 func (h *Hybrid) FastEvents() int64 { return h.fastEvents }
 
+// FullRecomputes returns the number of whole-vector propensity
+// recomputes since the last Reset: one at Reset itself, plus one after
+// every applied leap chunk.
+func (h *Hybrid) FullRecomputes() int64 { return h.fullRecomputes }
+
+// PropensityEvals returns the number of single-channel propensity
+// evaluations since the last Reset, full recomputes included (NumChannels
+// each). Both counters are exact functions of the seed.
+func (h *Hybrid) PropensityEvals() int64 { return h.propEvals }
+
 // Partition exposes the derived channel partition (read-only, in original
 // reaction indices).
 func (h *Hybrid) Partition() *chem.Partition { return h.part }
 
-// Reset repositions the engine at a copy of state and time t.
+// Reset repositions the engine at a copy of state and time t, recomputing
+// every propensity.
 func (h *Hybrid) Reset(state chem.State, t float64) {
 	if len(state) != h.comp.NumSpecies() {
 		panic("sim: state length does not match network species count")
@@ -227,17 +262,58 @@ func (h *Hybrid) Reset(state chem.State, t float64) {
 	copy(h.state, state)
 	h.t = t
 	h.fastEvents = 0
+	h.fullRecomputes, h.propEvals = 0, 0
+	h.pendingFull = true
+	h.applyPending()
 }
 
-// refresh recomputes all propensities and relay activity, returning the
-// exact-set and leap-set totals for this iteration.
+// applyPending brings prop up to date with the state: a full recompute
+// when one is pending, otherwise the dependents of the last exact firing
+// and the readers of relay/chain species. Compiled.Propensity is bit-for-
+// bit PropensitiesInto's per-channel value, so prop always equals what a
+// full recompute would produce.
+//
+//stochlint:noalloc
+func (h *Hybrid) applyPending() {
+	if h.pendingFull {
+		h.comp.PropensitiesInto(h.state, h.prop)
+		h.fullRecomputes++
+		h.propEvals += int64(len(h.prop))
+		h.pendingFull, h.pendingFired, h.pendingRelay = false, -1, false
+		return
+	}
+	if c := h.pendingFired; c >= 0 {
+		h.recompute(h.comp.Deps(c))
+		h.pendingFired = -1
+	}
+	if h.pendingRelay {
+		h.recompute(h.relayReaders)
+		h.pendingRelay = false
+	}
+}
+
+// recompute re-evaluates the propensities of chans.
+//
+//stochlint:noalloc
+func (h *Hybrid) recompute(chans []int32) {
+	for _, c := range chans {
+		h.prop[c] = h.comp.Propensity(int(c), h.state)
+	}
+	h.propEvals += int64(len(chans))
+}
+
+// refresh brings propensities up to date and re-derives relay and chain
+// activity, returning the exact-set and leap-set totals for this
+// iteration.
+//
+//stochlint:noalloc
 func (h *Hybrid) refresh() (aExact, aLeap float64) {
-	comp := h.comp
-	comp.PropensitiesInto(h.state, h.prop)
+	h.applyPending()
 	// A relay is analytic only while each catalytic dependent is blocked by
 	// a missing non-relay reactant: then the dependent cannot fire no
 	// matter how the relay count evolves, and nothing outside the relay
 	// reads its species.
+	changed := false
 	for k := range h.part.Relays {
 		r := &h.part.Relays[k]
 		active := true
@@ -247,7 +323,10 @@ func (h *Hybrid) refresh() (aExact, aLeap float64) {
 				break
 			}
 		}
-		h.relayActive[k] = active
+		if active != h.relayActive[k] {
+			h.relayActive[k] = active
+			changed = true
+		}
 		h.relayRate[k] = 0
 		if active {
 			for _, pr := range h.relayProds[k] {
@@ -266,7 +345,10 @@ func (h *Hybrid) refresh() (aExact, aLeap float64) {
 				break
 			}
 		}
-		h.chainActive[k] = active
+		if active != h.chainActive[k] {
+			h.chainActive[k] = active
+			changed = true
+		}
 		h.chainLamA[k], h.chainLamB[k] = 0, 0
 		if active {
 			for _, pr := range h.chainProds[k] {
@@ -277,22 +359,66 @@ func (h *Hybrid) refresh() (aExact, aLeap float64) {
 			}
 		}
 	}
-	// Classify the remaining channels. Fast-eligible channels form the leap
-	// candidate pool; whether the pool actually leaps is decided by the
-	// caller from the totals.
-	for c := range h.prop {
-		h.inLeap[c] = false
+	if changed {
+		h.buildClasses()
+	}
+	// Fast-eligible channels form the leap pool; whether the pool actually
+	// leaps is decided by the caller from the totals.
+	h.leapDemoted = false
+	for _, c := range h.exactChans {
+		aExact += h.prop[c]
+	}
+	for _, c := range h.leapChans {
+		aLeap += h.prop[c]
+	}
+	return aExact, aLeap
+}
+
+// buildClasses partitions the channels not handled by an active relay or
+// chain into the exact and leap classes, in ascending compiled order. The
+// lists reuse their construction-time capacity.
+//
+//stochlint:noalloc
+func (h *Hybrid) buildClasses() {
+	exact := h.exactChans[:cap(h.exactChans)]
+	leap := h.leapChans[:cap(h.leapChans)]
+	live := h.liveChans[:cap(h.liveChans)]
+	var ne, nl, nv int
+	for c, eligible := range h.fastEligible {
 		if h.relayHandledActive(c) {
 			continue
 		}
-		if h.fastEligible[c] {
-			aLeap += h.prop[c]
-			h.inLeap[c] = true
+		live[nv] = int32(c)
+		nv++
+		if eligible {
+			leap[nl] = int32(c)
+			nl++
 		} else {
-			aExact += h.prop[c]
+			exact[ne] = int32(c)
+			ne++
 		}
 	}
-	return aExact, aLeap
+	h.exactChans, h.leapChans, h.liveChans = exact[:ne], leap[:nl], live[:nv]
+}
+
+// raceChans returns the channels the exact race selects among this
+// iteration: the exact class, or every live channel once the leap pool
+// has been demoted.
+func (h *Hybrid) raceChans() []int32 {
+	if h.leapDemoted {
+		return h.liveChans
+	}
+	return h.exactChans
+}
+
+// fire applies compiled channel c, records its dependents as stale, and
+// returns the original reaction index.
+//
+//stochlint:noalloc
+func (h *Hybrid) fire(c int) int {
+	h.comp.Apply(c, h.state)
+	h.pendingFired = c
+	return int(h.comp.Perm[c])
 }
 
 // relayHandledActive reports whether channel c belongs to a currently
@@ -326,15 +452,10 @@ func (h *Hybrid) blockedBesides(c int, s chem.Species) bool {
 	return false
 }
 
-// demoteLeaps moves every leap-set channel into the exact set.
-func (h *Hybrid) demoteLeaps() {
-	for c := range h.inLeap {
-		h.inLeap[c] = false
-	}
-}
-
 // Step implements Engine: it advances fast channels (analytically or by
 // leaps) until the next slow/exact firing, which it applies and reports.
+//
+//stochlint:noalloc
 func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 	// Unit-exponential budget for the exact race, spent across leap
 	// sub-intervals at the piecewise-frozen exact-set propensity. Drawn
@@ -369,7 +490,7 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 		}
 		if !leaping {
 			// Exact next-event race over every non-relay channel.
-			h.demoteLeaps()
+			h.leapDemoted = true
 			total := aExact + aLeap
 			dt := h.gen.Exp(total)
 			if h.t+dt > horizon {
@@ -385,8 +506,7 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 			if fired < 0 {
 				return -1, Quiescent // unreachable: total > 0
 			}
-			h.comp.Apply(fired, h.state)
-			return int(h.comp.Perm[fired]), Fired
+			return h.fire(fired), Fired
 		}
 
 		// Leap sub-interval: cap τ by the remaining slow budget and the
@@ -438,7 +558,7 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 			// The budget ran out inside this chunk: an exact-set channel
 			// fires now, selected in proportion to the post-chunk
 			// propensities (the chunk's fast updates are already applied).
-			aExact, _ = h.refreshExactOnly()
+			aExact = h.refreshExactOnly()
 			if aExact <= 0 {
 				continue // leaps starved the exact set; race again
 			}
@@ -446,49 +566,42 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 			if fired < 0 {
 				continue
 			}
-			h.comp.Apply(fired, h.state)
-			return int(h.comp.Perm[fired]), Fired
+			return h.fire(fired), Fired
 		}
 		// τ was CGP-limited: keep leaping against the remaining budget.
 	}
 }
 
-// refreshExactOnly recomputes propensities and returns the exact-set total
-// under the current (already computed) classification.
-func (h *Hybrid) refreshExactOnly() (aExact, aLeap float64) {
-	h.comp.PropensitiesInto(h.state, h.prop)
-	for c := range h.prop {
-		if h.relayHandledActive(c) {
-			continue
-		}
-		if h.inLeap[c] {
-			aLeap += h.prop[c]
-		} else {
-			aExact += h.prop[c]
-		}
+// refreshExactOnly brings propensities up to date and returns the race
+// total under the current (already derived) classification.
+//
+//stochlint:noalloc
+func (h *Hybrid) refreshExactOnly() (aExact float64) {
+	h.applyPending()
+	for _, c := range h.raceChans() {
+		aExact += h.prop[c]
 	}
-	return aExact, aLeap
+	return aExact
 }
 
-// pickExact selects a non-relay, non-leap channel in proportion to the
-// current propensities, or -1 if none is positive. The result is a compiled
-// channel index.
+// pickExact selects a race channel (raceChans) in proportion to the
+// current propensities, or -1 if none is positive. The result is a
+// compiled channel index.
+//
+//stochlint:noalloc
 func (h *Hybrid) pickExact(total float64) int {
 	target := h.gen.Float64() * total
 	acc := 0.0
 	last := -1
-	for c := range h.prop {
-		if h.inLeap[c] || h.relayHandledActive(c) {
-			continue
-		}
+	for _, c := range h.raceChans() {
 		a := h.prop[c]
 		if a <= 0 {
 			continue
 		}
 		acc += a
-		last = c
+		last = int(c)
 		if target < acc {
-			return c
+			return int(c)
 		}
 	}
 	return last // floating-point slack: last positive channel
@@ -499,7 +612,7 @@ func (h *Hybrid) pickExact(total float64) int {
 // exempt from the bound (the propagator owns them).
 func (h *Hybrid) selectLeapTau(aLeap float64) float64 {
 	tau := cgpTau(h.comp, h.prop, h.state, h.Epsilon, h.drift, h.sigma2,
-		h.leapContributes, h.leapBounds)
+		h.leapChans, h.liveChans)
 	if math.IsInf(tau, 1) {
 		// Leap channels whose products nothing consumes: any τ is safe;
 		// scale to a healthy batch.
@@ -513,20 +626,22 @@ func (h *Hybrid) selectLeapTau(aLeap float64) float64 {
 // chunk length actually applied (possibly smaller than requested; the
 // caller books time and slow budget for the applied length and retries the
 // remainder at fresh propensities) and whether any application succeeded.
+// An applied chunk marks every propensity stale.
 func (h *Hybrid) fireLeaps(tau float64) (applied float64, ok bool) {
 	comp := h.comp
 	for attempt := 0; attempt < 30; attempt++ {
 		var n int64
-		for c := range h.prop {
-			if h.inLeap[c] && h.prop[c] > 0 {
-				h.counts[c] = h.gen.Poisson(h.prop[c] * tau)
-				n += h.counts[c]
-			} else {
-				h.counts[c] = 0
+		for _, c := range h.leapChans {
+			var k int64
+			if a := h.prop[c]; a > 0 {
+				k = h.gen.Poisson(a * tau)
 			}
+			h.counts[c] = k
+			n += k
 		}
 		copy(h.next, h.state)
-		for c, k := range h.counts {
+		for _, c := range h.leapChans {
+			k := h.counts[c]
 			if k == 0 {
 				continue
 			}
@@ -537,6 +652,7 @@ func (h *Hybrid) fireLeaps(tau float64) (applied float64, ok bool) {
 		if h.next.NonNegative() {
 			copy(h.state, h.next)
 			h.fastEvents += n
+			h.pendingFull = true
 			return tau, true
 		}
 		tau /= 2
@@ -547,8 +663,8 @@ func (h *Hybrid) fireLeaps(tau float64) (applied float64, ok bool) {
 // exactFallback performs one exact step over every non-relay channel —
 // guaranteed progress when leaping repeatedly rejects.
 func (h *Hybrid) exactFallback(horizon float64) (int, StepStatus) {
-	h.demoteLeaps()
-	aExact, _ := h.refreshExactOnly()
+	h.leapDemoted = true
+	aExact := h.refreshExactOnly()
 	if aExact <= 0 {
 		return -1, Quiescent
 	}
@@ -566,8 +682,7 @@ func (h *Hybrid) exactFallback(horizon float64) (int, StepStatus) {
 	if fired < 0 {
 		return -1, Quiescent
 	}
-	h.comp.Apply(fired, h.state)
-	return int(h.comp.Perm[fired]), Fired
+	return h.fire(fired), Fired
 }
 
 // propagateRelays advances every active relay over dt with the exact
@@ -608,6 +723,7 @@ func (h *Hybrid) propagateRelays(dt float64) {
 		deaths := x - s0 + births - sb
 		h.state[s] = s0 + sb
 		h.fastEvents += births + deaths
+		h.pendingRelay = true
 	}
 	h.propagateChains(dt)
 }
@@ -695,6 +811,7 @@ func (h *Hybrid) propagateChains(dt float64) {
 		}
 		h.state[cn.A] = sA + sA2
 		h.state[cn.B] = sB + cAB + cAB2 + sB2
+		h.pendingRelay = true
 		h.fastEvents += nA + nB + (xa + nA - sA - sA2) + (xb - sB) + (nB - sB2)
 	}
 }

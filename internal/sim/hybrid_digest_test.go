@@ -1,0 +1,254 @@
+package sim_test
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+	"testing"
+
+	"stochsynth/internal/chem"
+	"stochsynth/internal/lambda"
+	"stochsynth/internal/rng"
+	"stochsynth/internal/scenario"
+	"stochsynth/internal/sim"
+	"stochsynth/internal/synth"
+)
+
+// digestCase is one network the hybrid trajectory digest walks: a
+// constructor for the engine over its generator, the per-trial reset state,
+// an optional stop predicate, a step cap and a horizon.
+type digestCase struct {
+	name    string
+	build   func(gen *rng.PCG) *sim.Hybrid
+	st0     chem.State
+	stop    func(chem.State) bool
+	steps   int
+	horizon float64
+}
+
+// hybridDigest runs trials trials of c (generator reseeded per trial) and
+// folds every step's fired reaction, status, Time() bits, full state and
+// FastEvents(), plus one generator draw after each trial, into an FNV-1a
+// digest. Any change to a propensity value, a float summation order, a
+// class decision or the draw sequence moves it.
+func hybridDigest(c digestCase, trials int) uint64 {
+	dg := fnv.New64a()
+	var buf [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		dg.Write(buf[:])
+	}
+	gen := rng.NewStream(0x5eed, 0)
+	h := c.build(gen)
+	for trial := 0; trial < trials; trial++ {
+		gen.Reseed(0x5eed, uint64(trial))
+		h.Reset(c.st0, 0)
+		for step := 0; step < c.steps; step++ {
+			r, status := h.Step(c.horizon)
+			word(uint64(int64(r)))
+			word(uint64(status))
+			word(math.Float64bits(h.Time()))
+			for _, x := range h.State() {
+				word(uint64(x))
+			}
+			word(uint64(h.FastEvents()))
+			if status != sim.Fired || (c.stop != nil && c.stop(h.State())) {
+				break
+			}
+		}
+		word(gen.Uint64())
+	}
+	return dg.Sum64()
+}
+
+// digestCases covers every hybrid code path the paper's workloads reach:
+// relay propagation on the synthetic lambda model (MOI 1–10), the
+// relay-free Figure 3 module over its γ grid, the five scenario networks,
+// a conversion-chain race, the generic leap path, and horizon clamps.
+func digestCases(t *testing.T) []digestCase {
+	t.Helper()
+	var cases []digestCase
+
+	m := lambda.SyntheticModel().WithEngine(sim.EngineHybrid)
+	for moi := int64(1); moi <= 10; moi++ {
+		factory := m.EngineFactoryAt(moi)
+		st0 := m.Net.InitialState()
+		st0.Set(m.MOI, moi)
+		cro2, ci2, th := m.Cro2, m.CI2, m.Thresholds
+		cases = append(cases, digestCase{
+			name:  "synthetic",
+			build: func(gen *rng.PCG) *sim.Hybrid { return factory(gen).(*sim.Hybrid) },
+			st0:   st0,
+			stop: func(st chem.State) bool {
+				return st[cro2] >= th.Cro2 || st[ci2] >= th.CI2
+			},
+			steps:   1 << 20,
+			horizon: sim.NoHorizon(),
+		})
+	}
+
+	for _, gamma := range []float64{1, 10, 100, 1e3, 1e4, 1e5} {
+		mod, err := synth.Figure3Spec(gamma).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp := chem.Compile(mod.Net)
+		protected := mod.ProtectedSpecies()
+		stop := mod.ThresholdPredicate(synth.Figure3Threshold)
+		cases = append(cases, digestCase{
+			name: "figure3",
+			build: func(gen *rng.PCG) *sim.Hybrid {
+				return sim.NewHybridCompiled(comp, protected, gen)
+			},
+			st0:     mod.Net.InitialState(),
+			stop:    func(st chem.State) bool { return stop(st, 0) },
+			steps:   1 << 20,
+			horizon: sim.NoHorizon(),
+		})
+	}
+
+	for _, s := range scenario.All() {
+		net, err := chem.ParseNetworkString(s.CRN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var protected []chem.Species
+		for _, name := range []string{s.Observable.SpeciesA, s.Observable.SpeciesB} {
+			if name != "" {
+				protected = append(protected, net.MustSpecies(name))
+			}
+		}
+		st0 := net.InitialState()
+		if s.Param != nil && s.Param.Species != "" {
+			st0.Set(net.MustSpecies(s.Param.Species), int64(s.Grid[0]))
+		}
+		comp := chem.Compile(net)
+		cases = append(cases, digestCase{
+			name: "scenario/" + s.Name,
+			build: func(gen *rng.PCG) *sim.Hybrid {
+				return sim.NewHybridCompiled(comp, protected, gen)
+			},
+			st0:     st0,
+			steps:   4000,
+			horizon: sim.NoHorizon(),
+		})
+	}
+
+	for _, tc := range []struct {
+		name, src string
+		protect   []string
+		steps     int
+		horizon   float64
+	}{
+		// Conversion chain burning events around a slow race (the
+		// hybrid_chain_test race network).
+		{"chain-race", `
+src = 1
+e1 = 60
+e2 = 40
+f1 = 10
+f2 = 10
+src -> src + a @ 0.0001
+a -> c @ 8
+a -> 0 @ 2
+c -> 0 @ 10
+e1 -> d1 @ 1e-9
+e2 -> d2 @ 1e-9
+d1 + f1 -> d1 + o1 @ 1e-9
+d2 + f2 -> d2 + o2 @ 1e-9
+`, []string{"o1", "o2"}, 40, sim.NoHorizon()},
+		// Chain with a live catalytic dependent: gating flips mid-trial.
+		{"chain-gated", `
+x = 40
+0 -> a @ 4
+a -> c @ 2
+c -> 0 @ 1
+2 x + c -> y + c @ 0.5
+`, nil, 400, 60},
+		// Relay with a live catalytic dependent, clamped at a horizon.
+		{"relay-gated", `
+b = 1
+x = 40
+b -> b + a @ 2
+a -> 0 @ 1
+2 x + a -> c + a @ 0.5
+`, nil, 400, 80},
+		// High-copy conversion: the generic tau-leap path.
+		{"leap", `
+x = 50000
+x -> y @ 1
+`, nil, 200, 0.5},
+		// Leaping fast pair racing slow exact channels under a budget.
+		{"leap-mixed", `
+x = 10000
+y = 10000
+s = 50
+x -> y @ 1
+y -> x @ 1
+s -> t @ 0.05
+`, []string{"t"}, 300, 20},
+	} {
+		net := chem.MustParseNetwork(tc.src)
+		var protected []chem.Species
+		for _, name := range tc.protect {
+			protected = append(protected, net.MustSpecies(name))
+		}
+		comp := chem.Compile(net)
+		cases = append(cases, digestCase{
+			name: tc.name,
+			build: func(gen *rng.PCG) *sim.Hybrid {
+				return sim.NewHybridCompiled(comp, protected, gen)
+			},
+			st0:     net.InitialState(),
+			steps:   tc.steps,
+			horizon: tc.horizon,
+		})
+	}
+	return cases
+}
+
+// TestHybridTrajectoryDigest pins the hybrid's exact per-step output on
+// every digest case: fired reaction, status, Time() bits, state,
+// FastEvents() and the generator position after each trial. The digests
+// were recorded before the engine's propensities became incremental and
+// its channel classes cached; matching them shows that change left every
+// stream bit for bit unchanged.
+func TestHybridTrajectoryDigest(t *testing.T) {
+	trials := 4
+	if testing.Short() {
+		trials = 2
+	}
+	want := map[int][]uint64{
+		2: {
+			0x93f4bcbac7e6c470, 0xc46760fad7131caa, 0xaf226a617ab16b4e, 0x112cb7d19fbf036d,
+			0xc60ca8b1acefe248, 0x8f347efab17c4606, 0x17196de402b6e327, 0x84a04598e75501aa,
+			0x95313c28556e645e, 0x1e7287b6cf2f0578, 0xc8aea2a7ed442057, 0x020f91563997c840,
+			0x206f7e83aa2787e5, 0xc099d8e9fe16ec08, 0x80db50a0b888fa2f, 0x817b581af29309bf,
+			0x7ccc38cd6d04d80a, 0xb5437addd6a34f90, 0x99f3cf074daa5b2f, 0x6cc36ad58ea75073,
+			0x591b7b1dbeedf1fe, 0x90ee2eede7e43262, 0x935d581fc57a0c9b, 0xf3f8cf0fd83d874e,
+			0x4e1052bb968e7e1f, 0x63af8799eb1e6985,
+		},
+		4: {
+			0x8e045b220f239ac9, 0x1dd235fdcb46265a, 0xcb5faa22eb760355, 0x4d0135f83a2a2a63,
+			0x70e0ba580471594d, 0x6319104f957f3a10, 0x032f46959f8b697f, 0x7186d4b58e162ad2,
+			0x932da6d8943f0902, 0x642b0e9af434a542, 0x12fbf94804b9ba67, 0x00ea1828ba3a96d2,
+			0x2151ed947974857a, 0xd7d8865bfad8e947, 0x68ce00615bdd6929, 0x0ef0ef9934db82ef,
+			0x5b6c2fb672a70a8e, 0xb02e66efcebdf88e, 0x6712a1ae1fef6a2c, 0xc69a54ec855a5687,
+			0x05ded7b9805cd8d8, 0xa690a71524c38406, 0xec49d00a800e1beb, 0x2fc5e5cc528f41f2,
+			0x1ad1c3ff9e38602b, 0x5a6aee20084e40ed,
+		},
+	}[trials]
+	cases := digestCases(t)
+	var got []uint64
+	for _, c := range cases {
+		got = append(got, hybridDigest(c, trials))
+	}
+	if len(want) != len(got) {
+		t.Fatalf("recorded %d digests, computed %d: %#x", len(want), len(got), got)
+	}
+	for i, c := range cases {
+		if got[i] != want[i] {
+			t.Errorf("case %d (%s): digest %#x, want %#x", i, c.name, got[i], want[i])
+		}
+	}
+}

@@ -372,4 +372,9 @@ x -> y @ 1
 	if h.FastEvents() == 0 {
 		t.Error("no events batched: generic leaping never engaged")
 	}
+	// Reset recomputes every propensity once; each applied leap chunk
+	// moves many species at once and recomputes them all again.
+	if n := h.FullRecomputes(); n < 2 {
+		t.Errorf("FullRecomputes = %d after a leaping trial, want Reset's plus one per applied chunk", n)
+	}
 }

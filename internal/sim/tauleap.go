@@ -37,6 +37,7 @@ type TauLeap struct {
 	drift  []float64 // per-species mean change rate Σ a·d
 	sigma2 []float64 // per-species change variance rate Σ a·d²
 	next   chem.State
+	all    []int32 // every compiled channel, ascending: cgpTau's selection
 }
 
 // NewTauLeap returns a TauLeap accelerator over net at the default initial
@@ -57,6 +58,10 @@ func NewTauLeapCompiled(comp *chem.Compiled, gen *rng.PCG) *TauLeap {
 		drift:   make([]float64, comp.NumSpecies()),
 		sigma2:  make([]float64, comp.NumSpecies()),
 		next:    make(chem.State, comp.NumSpecies()),
+		all:     make([]int32, comp.NumChannels()),
+	}
+	for c := range tl.all {
+		tl.all[c] = int32(c)
 	}
 	tl.Reset(comp.Network().InitialState(), 0)
 	return tl
@@ -139,7 +144,7 @@ func (tl *TauLeap) Leap(horizon float64) (events int64, status StepStatus) {
 // of every reactant species over one leap. A τ of +Inf (nothing
 // constrains the leap) falls back to one mean event time.
 func (tl *TauLeap) selectTau(total float64) float64 {
-	tau := cgpTau(tl.comp, tl.prop, tl.state, tl.Epsilon, tl.drift, tl.sigma2, nil, nil)
+	tau := cgpTau(tl.comp, tl.prop, tl.state, tl.Epsilon, tl.drift, tl.sigma2, tl.all, tl.all)
 	if math.IsInf(tau, 1) {
 		tau = 1 / total
 	}
@@ -148,28 +153,29 @@ func (tl *TauLeap) selectTau(total float64) float64 {
 
 // cgpTau is the Cao–Gillespie–Petzold step-size control shared by TauLeap
 // and Hybrid (Cao, Gillespie & Petzold 2006, Eq. 33): τ = min over the
-// reactant species s of every bounds-selected channel of
+// reactant species s of every channel in bounds of
 //
 //	max(εx_s, 1) / |Σ_j a_j·d_js|   and   max(εx_s, 1)² / Σ_j a_j·d_js²,
 //
-// with the drift and variance sums running over contributes-selected
-// channels with positive propensity, over the compiled kernel's CSR delta
-// and reactant rows. A nil selector means "every channel". The second bound
+// with the drift and variance sums running over the channels in contributes
+// with positive propensity, over the compiled kernel's CSR delta and
+// reactant rows. Both lists hold compiled channel indices in ascending
+// order, so the per-species sums fold in channel order. The second bound
 // matters precisely when the first is loose: opposing high-flux channels (a
 // production clock against a decay) cancel to |drift| ≈ 0, but their
 // fluctuations still scatter the species count by √(σ²τ) per leap, which
 // without the variance bound would blow far past the ε target. drift and
-// sigma2 are caller-owned scratch, overwritten here. Channel selectors are
-// in compiled channel indices. Returns +Inf when no selected channel
-// constrains τ.
+// sigma2 are caller-owned scratch, overwritten here. Returns +Inf when no
+// selected channel constrains τ.
 func cgpTau(comp *chem.Compiled, prop []float64, state chem.State,
-	eps float64, drift, sigma2 []float64, contributes, bounds func(c int) bool) float64 {
+	eps float64, drift, sigma2 []float64, contributes, bounds []int32) float64 {
 	for s := range drift {
 		drift[s] = 0
 		sigma2[s] = 0
 	}
-	for c, a := range prop {
-		if a <= 0 || (contributes != nil && !contributes(c)) {
+	for _, c := range contributes {
+		a := prop[c]
+		if a <= 0 {
 			continue
 		}
 		for k := comp.DeltaStart[c]; k < comp.DeltaStart[c+1]; k++ {
@@ -180,10 +186,7 @@ func cgpTau(comp *chem.Compiled, prop []float64, state chem.State,
 		}
 	}
 	tau := math.Inf(1)
-	for c := 0; c < comp.NumChannels(); c++ {
-		if bounds != nil && !bounds(c) {
-			continue
-		}
+	for _, c := range bounds {
 		for k := comp.ReactStart[c]; k < comp.ReactStart[c+1]; k++ {
 			s := comp.ReactSpecies[k]
 			if sigma2[s] == 0 {

@@ -39,10 +39,10 @@ func RunRace(mod *StochasticModule, threshold, maxSteps int64, gen *rng.PCG) Rac
 }
 
 // RunRaceWith is RunRace on a caller-supplied engine, which it Resets to
-// the module's initial state: the engine-reuse form for mc.RunWith worker
-// loops.
+// the module's initial state as of Build: the engine-reuse form for
+// mc.RunWith worker loops.
 func RunRaceWith(mod *StochasticModule, eng sim.Engine, threshold, maxSteps int64) RaceResult {
-	eng.Reset(mod.Net.InitialState(), 0)
+	eng.Reset(mod.initial, 0)
 	first := -1
 	res := sim.Run(eng, sim.RunOptions{
 		MaxSteps: maxSteps,

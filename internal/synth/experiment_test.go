@@ -176,3 +176,42 @@ func TestFigure3SpecShape(t *testing.T) {
 		}
 	}
 }
+
+// TestFigure3TrialZeroAllocs: on a reused engine a Figure 3 trial body —
+// classifier or observer — allocates nothing, so the mc.RunWith worker
+// loops behind the γ sweep run allocation-free per trial. Both the exact
+// default engine and the hybrid are pinned.
+func TestFigure3TrialZeroAllocs(t *testing.T) {
+	mod, err := Figure3Spec(100).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := rng.NewStream(5, 0)
+	engines := []struct {
+		name string
+		eng  sim.Engine
+	}{
+		{"optimized", sim.NewOptimizedDirect(mod.Net, gen)},
+		{"hybrid", sim.NewHybrid(mod.Net, mod.ProtectedSpecies(), gen)},
+	}
+	classify := Figure3Classifier(mod)
+	observe := Figure3Observer(mod)
+	for _, e := range engines {
+		var trial uint64
+		classify(e.eng) // warm up
+		if n := testing.AllocsPerRun(50, func() {
+			trial++
+			gen.Reseed(5, trial)
+			classify(e.eng)
+		}); n != 0 {
+			t.Errorf("%s: Figure3Classifier allocates %.1f times per trial, want 0", e.name, n)
+		}
+		if n := testing.AllocsPerRun(50, func() {
+			trial++
+			gen.Reseed(5, trial)
+			observe(e.eng)
+		}); n != 0 {
+			t.Errorf("%s: Figure3Observer allocates %.1f times per trial, want 0", e.name, n)
+		}
+	}
+}

@@ -76,6 +76,9 @@ type StochasticModule struct {
 	// initOutcome maps a reaction index to the outcome whose initializing
 	// reaction it is (-1 otherwise).
 	initOutcome []int
+	// initial is Net's initial state, snapshotted at Build so race trials
+	// Reset engines to it without cloning (engines copy on Reset).
+	initial chem.State
 }
 
 // Build validates the spec and generates the module's five reaction
@@ -220,6 +223,7 @@ func (spec StochasticSpec) Build() (*StochasticModule, error) {
 	for i := 0; i < m; i++ {
 		mod.initOutcome[initStart+i] = i
 	}
+	mod.initial = mod.Net.InitialState()
 	return mod, nil
 }
 
