@@ -571,27 +571,3 @@ func BenchmarkScenarioPlesa(b *testing.B)         { scenarioEngineBenches(b, "pl
 func BenchmarkScenarioRepressilator(b *testing.B) { scenarioEngineBenches(b, "repressilator") }
 func BenchmarkScenarioSchlogl(b *testing.B)       { scenarioEngineBenches(b, "schlogl") }
 func BenchmarkScenarioToggle(b *testing.B)        { scenarioEngineBenches(b, "toggle") }
-
-// BenchmarkTrialsNaturalBatchReuse is the trial-lockstep batch counterpart
-// of BenchmarkTrialsNaturalOptimizedReuse: Model.CharacterizeBatch drives
-// K = 32 trials through one fused sim.BatchRace kernel per worker, with
-// per-trial results bit-identical to the unbatched path.
-func BenchmarkTrialsNaturalBatchReuse(b *testing.B) {
-	model, err := lambda.NaturalModel(lambda.NaturalParams{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const moi = 5
-	const trialsPerOp = 200
-	const batch = 32
-	var lysogeny int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := model.CharacterizeBatch(moi, trialsPerOp, 23+uint64(i), batch)
-		lysogeny += res.Counts[lambda.Lysogeny]
-	}
-	b.StopTimer()
-	trials := float64(b.N) * trialsPerOp
-	b.ReportMetric(trials/b.Elapsed().Seconds(), "trials/s")
-	b.ReportMetric(100*float64(lysogeny)/trials, "lysogeny%")
-}

@@ -461,3 +461,25 @@ func TestUnknownSweepFailsFastListingBuiltins(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroTrialSweepsRender: a zero-trial sweep is legal and must render
+// its table with zero estimates — not NaN from a 0/0 fraction, and not a
+// panic on the empty distribution summary's missing outcome classes.
+func TestZeroTrialSweepsRender(t *testing.T) {
+	bin := buildSweepd(t)
+	for _, args := range [][]string{
+		{"-sweep", "lambda/natural", "-params", "1,2", "-trials", "0"},
+		{"-sweep", "lambda/natural-dist", "-params", "1", "-trials", "0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err != nil {
+			t.Fatalf("%v: %v\nstderr:\n%s", args, err, stderr.String())
+		}
+		if strings.Contains(stdout.String(), "NaN") {
+			t.Errorf("%v: output contains NaN:\n%s", args, stdout.String())
+		}
+	}
+}

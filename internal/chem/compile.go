@@ -86,8 +86,7 @@ type Compiled struct {
 	// kernel was compiled against (the default initial state for Compile,
 	// the caller's characteristic state for CompileAt, the pilot-chain mean
 	// for CompilePilot), in compiled channel order. It is the static skew
-	// estimate behind the channel ordering and doubles as the
-	// composite-rejection proposal weights (NewComposite).
+	// estimate behind the channel ordering.
 	OrderProp []float64
 
 	// Two-level selection-block structure, built iff NumChannels() >=

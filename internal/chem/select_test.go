@@ -216,100 +216,6 @@ func TestSelectChannelNarrowIsLinearScan(t *testing.T) {
 	}
 }
 
-// TestCompositeExactDistribution: the composite-rejection sampler's law is
-// exactly prop/total — chi-square over all channels at a fixed wide state —
-// and drained channels are never proposed successfully.
-func TestCompositeExactDistribution(t *testing.T) {
-	r := rand.New(rand.NewSource(0xa11a5))
-	net := wideRandomNetwork(r, 96)
-	c := Compile(net)
-	x := c.NewComposite()
-
-	st := net.InitialState()
-	// Drain a few species so some channels sit at zero propensity.
-	for s := 0; s < 6; s++ {
-		st[s] = 0
-	}
-	prop := make([]float64, c.NumChannels())
-	sums := make([]float64, c.NumSelectBlocks())
-	total := c.PropensitiesBlocksInto(st, prop, sums)
-	x.Refresh(prop)
-
-	gen := rng.New(0xd157)
-	const draws = 200_000
-	counts := make([]int64, c.NumChannels())
-	for i := 0; i < draws; i++ {
-		j := x.Select(gen, prop, sums, gen.Float64()*total)
-		if j < 0 {
-			t.Fatalf("draw %d: Select exhausted with positive total %v", i, total)
-		}
-		if prop[j] == 0 {
-			t.Fatalf("draw %d: selected drained channel %d", i, j)
-		}
-		counts[j]++
-	}
-	// Pearson chi-square against the exact law, channels with expected
-	// count >= 5 (others pooled).
-	chi2, df, pooledObs, pooledExp := 0.0, -1, int64(0), 0.0
-	for j, n := range counts {
-		exp := prop[j] / total * draws
-		if exp < 5 {
-			pooledObs += n
-			pooledExp += exp
-			continue
-		}
-		d := float64(n) - exp
-		chi2 += d * d / exp
-		df++
-	}
-	if pooledExp > 0 {
-		d := float64(pooledObs) - pooledExp
-		chi2 += d * d / pooledExp
-		df++
-	}
-	// Normal approximation of the chi-square tail: mean df, variance 2·df;
-	// 4.5σ ≈ α 3e-6, far above sampling noise and far below a broken law.
-	crit := float64(df) + 4.5*math.Sqrt(2*float64(df))
-	if chi2 > crit {
-		t.Fatalf("composite law off: chi2 %.1f > crit %.1f (df %d)", chi2, crit, df)
-	}
-}
-
-// TestCompositeRefreshAfterLockstep: acceptance bounds maintained
-// incrementally (RefreshAfter along a walk) are bitwise identical to a full
-// Refresh rebuild — the same discipline as the block sums.
-func TestCompositeRefreshAfterLockstep(t *testing.T) {
-	r := rand.New(rand.NewSource(0xbe7a))
-	net := wideRandomNetwork(r, 80)
-	c := Compile(net)
-	inc := c.NewComposite()
-	full := c.NewComposite()
-	gen := rng.New(42)
-
-	st := c.NewStateVec()
-	copy(st, net.InitialState())
-	prop := make([]float64, c.NumChannels())
-	sums := make([]float64, c.NumSelectBlocks())
-	total := c.PropensitiesBlocksInto(st[:c.NumSpecies()], prop, sums)
-	inc.Refresh(prop)
-
-	for ev := 0; ev < 300; ev++ {
-		full.Refresh(prop)
-		for k := range full.beta {
-			if math.Float64bits(inc.beta[k]) != math.Float64bits(full.beta[k]) {
-				t.Fatalf("ev=%d block=%d: incremental bound %v != rebuilt %v", ev, k, inc.beta[k], full.beta[k])
-			}
-		}
-		fired := c.SelectChannel(prop, gen.Float64()*total)
-		if fired < 0 {
-			break
-		}
-		total = c.FireAndRefresh(fired, st, prop, total)
-		c.RefreshBlockSums(fired, prop, sums)
-		inc.RefreshAfter(fired, prop)
-	}
-}
-
 // TestCompileAtOrdersByCharacteristicState: a channel quiet at the default
 // initial state but hot at the characteristic state must lead the compiled
 // order under CompileAt (and trail it under Compile).
@@ -374,13 +280,10 @@ func TestSelectionZeroAlloc(t *testing.T) {
 	r := rand.New(rand.NewSource(0xa110c))
 	net := wideRandomNetwork(r, 128)
 	c := Compile(net)
-	x := c.NewComposite()
-	gen := rng.New(3)
 	st := net.InitialState()
 	prop := make([]float64, c.NumChannels())
 	sums := make([]float64, c.NumSelectBlocks())
 	total := c.PropensitiesBlocksInto(st, prop, sums)
-	x.Refresh(prop)
 	target := 0.5 * total
 
 	pins := []struct {
@@ -392,8 +295,6 @@ func TestSelectionZeroAlloc(t *testing.T) {
 		{"RefreshBlockSums", func() { c.RefreshBlockSums(0, prop, sums) }},
 		{"SelectBlock", func() { c.SelectBlock(prop, sums, target) }},
 		{"SelectChannel", func() { c.SelectChannel(prop, target) }},
-		{"Composite.Select", func() { x.Select(gen, prop, sums, target) }},
-		{"Composite.RefreshAfter", func() { x.RefreshAfter(0, prop) }},
 	}
 	for _, p := range pins {
 		if n := testing.AllocsPerRun(200, p.f); n != 0 {

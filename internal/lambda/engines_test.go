@@ -86,23 +86,3 @@ func TestCharacterizeMatchesPerTrialEngines(t *testing.T) {
 		t.Fatalf("engine reuse changed results: reused %v, fresh %v", reused, fresh)
 	}
 }
-
-// TestCharacterizeBatchMatchesCharacterize: the trial-lockstep batch path
-// must tally exactly what the unbatched engine-reuse path tallies — same
-// (seed, trial-index) streams, same dosed-state kernel, same race
-// semantics — for every batch width, including widths that do not divide
-// the trial count (ragged tail chunks).
-func TestCharacterizeBatchMatchesCharacterize(t *testing.T) {
-	m, err := NaturalModel(NaturalParams{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const trials, moi, seed = 300, 3, uint64(99)
-	want := m.Characterize(moi, trials, seed)
-	for _, batch := range []int{1, 4, 32} {
-		got := m.CharacterizeBatch(moi, trials, seed, batch)
-		if got.Counts[0] != want.Counts[0] || got.Counts[1] != want.Counts[1] || got.None != want.None {
-			t.Fatalf("batch=%d changed results: batched %v, unbatched %v", batch, got, want)
-		}
-	}
-}

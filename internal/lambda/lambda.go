@@ -238,60 +238,6 @@ func (m *Model) Characterize(moi int64, trials int, seed uint64) mc.Result {
 	)
 }
 
-// CharacterizeBatch is Characterize on the trial-lockstep batch path: each
-// worker advances chunks of up to batch trials through one fused
-// sim.BatchRace kernel (mc.RunBatchWith). Per-trial streams, race
-// semantics and the dosed-state kernel are identical to Characterize's, so
-// the returned tallies are bit-for-bit equal to Characterize's for every
-// batch width and worker count — pinned by
-// TestCharacterizeBatchMatchesCharacterize. The batch kernel implements
-// the default (OptimizedDirect) race; models configured with a different
-// engine kind fall back to the unbatched path.
-func (m *Model) CharacterizeBatch(moi int64, trials int, seed uint64, batch int) mc.Result {
-	if m.Engine != "" && m.Engine != sim.EngineOptimizedDirect {
-		return m.Characterize(moi, trials, seed)
-	}
-	if batch < 1 {
-		batch = 1
-	}
-	comp := m.compileAt(moi)
-	st0 := m.Net.InitialState()
-	st0.Set(m.MOI, moi)
-	maxSteps := m.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = 5_000_000
-	}
-	lysis := sim.SpeciesThreshold{Species: m.Cro2, Count: m.Thresholds.Cro2}
-	lysogeny := sim.SpeciesThreshold{Species: m.CI2, Count: m.Thresholds.CI2}
-	ci2, th := m.CI2, m.Thresholds.CI2
-	type batchEng struct {
-		br  *sim.BatchRace
-		res []sim.RunResult
-	}
-	return mc.RunBatchWith(
-		mc.Config{Trials: trials, Outcomes: 2, Seed: seed}, batch,
-		func() batchEng {
-			return batchEng{br: sim.NewBatchRace(comp, batch), res: make([]sim.RunResult, batch)}
-		},
-		func(e batchEng, gens []*rng.PCG, out []int) {
-			n := len(gens)
-			e.br.Reset(st0)
-			e.br.Race(gens, lysis, lysogeny, maxSteps, e.res[:n])
-			// Classification mirrors racer's, per trial.
-			for j := 0; j < n; j++ {
-				switch {
-				case e.res[j].Reason != sim.StopPredicate:
-					out[j] = mc.None
-				case e.br.State(j)[ci2] >= th:
-					out[j] = Lysogeny
-				default:
-					out[j] = Lysis
-				}
-			}
-		},
-	)
-}
-
 // Point is one MOI sweep sample: the measured lysogeny percentage with its
 // 95% Wilson interval.
 type Point struct {

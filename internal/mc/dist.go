@@ -2,7 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"sync"
 
 	"stochsynth/internal/rng"
 )
@@ -135,35 +134,14 @@ func RunDistRangeWith[E any](cfg Config, hcfg HistConfig, lo, hi int, newEngine 
 	if err := hcfg.Validate(); err != nil {
 		panic(err.Error())
 	}
-	if lo < 0 || hi < lo {
-		panic(fmt.Sprintf("mc: invalid trial range [%d,%d)", lo, hi))
-	}
+	checkRange(lo, hi)
 	if lo == hi {
 		return DistSummary{}
 	}
-	workers := rangeWorkers(cfg.Workers, hi-lo)
 	obs := make([]Obs, hi-lo)
-	panics := make([]string, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer recoverTrialPanic(&panics[w])
-			gen := rng.NewStream(cfg.Seed, uint64(w))
-			eng := newEngine(gen)
-			for i := lo + w; i < hi; i += workers {
-				gen.Reseed(cfg.Seed, uint64(i))
-				obs[i-lo] = observe(eng)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != "" {
-			panic(p)
-		}
-	}
+	forEachTrial(cfg, lo, hi, newEngine, func(_, i int, eng E) {
+		obs[i-lo] = observe(eng)
+	})
 
 	// Fold in trial-index order: the tree-canonical components require it,
 	// and the integer components are order-independent anyway.

@@ -90,10 +90,19 @@ func (f FPTSummary) N() int64 {
 	return n
 }
 
+// class returns outcome o's tally; the empty summary (no classes, as
+// from a zero-trial range) reads as zero counts for every outcome.
+func (f FPTSummary) class(o int) FPTClass {
+	if f.Classes == nil {
+		return FPTClass{}
+	}
+	return f.Classes[o]
+}
+
 // MeanSteps returns outcome o's exact mean first-passage event count
 // (0 when the class is empty).
 func (f FPTSummary) MeanSteps(o int) float64 {
-	c := f.Classes[o]
+	c := f.class(o)
 	if c.Count == 0 {
 		return 0
 	}
@@ -104,7 +113,7 @@ func (f FPTSummary) MeanSteps(o int) float64 {
 // trials (unresolved trials count in the denominator), mirroring
 // Result.Proportion.
 func (f FPTSummary) Proportion(o int) Proportion {
-	return Proportion{Successes: f.Classes[o].Count, Trials: f.N()}
+	return Proportion{Successes: f.class(o).Count, Trials: f.N()}
 }
 
 // Validate checks the summary's structural invariants.

@@ -9,6 +9,18 @@
 // drives a family of runs across a parameter range (the paper's γ and MOI
 // sweeps).
 //
+// # One striped pool
+//
+// Every runner — tally (RunRangeWith), numeric (RunNumericRangeWith) and
+// distribution (RunDistRangeWith), plus their whole-run and per-trial-
+// engine wrappers — executes on one unexported worker pool. It resolves
+// the worker count, gives each worker one generator and one engine,
+// stripes trial indices statically across the workers, reseeds the
+// worker's generator onto the stream (Seed, i) before trial i, and
+// re-raises a panicking trial body on the caller's goroutine once the pool
+// drains. The runners differ only in their accumulator: per-worker outcome
+// counts, or one slot per trial folded in trial-index order.
+//
 // # Engine reuse
 //
 // Run and RunNumeric hand each trial a fresh generator and leave engine
@@ -77,19 +89,20 @@ func (r Result) Proportion(i int) Proportion {
 	return Proportion{Successes: r.Counts[i], Trials: r.Trials}
 }
 
-// Fraction returns Counts[i]/Trials as a plain float64.
+// Fraction returns Counts[i]/Trials as a plain float64 (0 for a zero-trial
+// result, as Proportion.Estimate).
 func (r Result) Fraction(i int) float64 {
-	return float64(r.Counts[i]) / float64(r.Trials)
+	return r.Proportion(i).Estimate()
 }
 
 // String renders the tallies compactly for logs.
 func (r Result) String() string {
 	s := "mc.Result{"
-	for i, c := range r.Counts {
+	for i := range r.Counts {
 		if i > 0 {
 			s += " "
 		}
-		s += fmt.Sprintf("p%d=%.4f", i, float64(c)/float64(r.Trials))
+		s += fmt.Sprintf("p%d=%.4f", i, r.Fraction(i))
 	}
 	if r.None > 0 {
 		s += fmt.Sprintf(" none=%d", r.None)

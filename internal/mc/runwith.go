@@ -21,6 +21,61 @@ func recoverTrialPanic(dst *string) {
 	}
 }
 
+// forEachTrial is the striped worker pool behind every range runner
+// (RunRangeWith, RunNumericRangeWith, RunDistRangeWith). It starts
+// rangeWorkers(cfg.Workers, hi-lo) workers; worker w owns the generator
+// rng.NewStream(cfg.Seed, w), builds one engine from it, and runs body on
+// the trial indices lo+w, lo+w+workers, … — static striping keeps the
+// trial→stream mapping fixed, so every result is independent of
+// scheduling. Before each trial the generator is repositioned in place
+// (rng.PCG.Reseed) onto the stream (cfg.Seed, i), so trial i draws exactly
+// what a fresh rng.NewStream(cfg.Seed, i) would.
+//
+// A panic in newEngine or body stops its worker; once the pool drains, the
+// first one (in worker order) is re-raised on the caller's goroutine.
+func forEachTrial[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E, body func(w, i int, eng E)) {
+	workers := rangeWorkers(cfg.Workers, hi-lo)
+	panics := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			defer recoverTrialPanic(&panics[w])
+			gen := rng.NewStream(cfg.Seed, uint64(w))
+			eng := newEngine(gen)
+			for i := lo + w; i < hi; i += workers {
+				gen.Reseed(cfg.Seed, uint64(i))
+				body(w, i, eng)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != "" {
+			panic(p)
+		}
+	}
+}
+
+// rangeWorkers resolves the worker count for a range of n trials.
+func rangeWorkers(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	return workers
+}
+
+// checkRange panics on a malformed trial range.
+func checkRange(lo, hi int) {
+	if lo < 0 || hi < lo {
+		panic(fmt.Sprintf("mc: invalid trial range [%d,%d)", lo, hi))
+	}
+}
+
 // RunWith executes cfg.Trials independent trials with per-worker engine
 // reuse: each worker calls newEngine once to build its simulation engine
 // (or any other per-worker resource) and then runs its whole stripe of
@@ -59,58 +114,30 @@ func RunRangeWith[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E,
 	if cfg.Outcomes <= 0 {
 		panic("mc: Config.Outcomes must be positive")
 	}
-	if lo < 0 || hi < lo {
-		panic(fmt.Sprintf("mc: invalid trial range [%d,%d)", lo, hi))
-	}
+	checkRange(lo, hi)
 	res := Result{Counts: make([]int64, cfg.Outcomes), Trials: int64(hi - lo)}
-	if lo == hi {
-		return res
-	}
-	workers := rangeWorkers(cfg.Workers, hi-lo)
-
+	// One tally row per worker (forEachTrial starts exactly this many):
+	// workers count into their own row, and the rows are summed after the
+	// pool drains — integer sums, so the total is partition-independent.
 	type tally struct {
 		counts []int64
 		none   int64
-		err    string
 	}
-	tallies := make([]tally, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	tallies := make([]tally, rangeWorkers(cfg.Workers, hi-lo))
+	for w := range tallies {
 		tallies[w].counts = make([]int64, cfg.Outcomes)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer recoverTrialPanic(&tallies[w].err)
-			gen := rng.NewStream(cfg.Seed, uint64(w))
-			eng := newEngine(gen)
-			// Static striping keeps the trial→stream mapping fixed, so
-			// the aggregate is independent of scheduling.
-			for i := lo + w; i < hi; i += workers {
-				gen.Reseed(cfg.Seed, uint64(i))
-				outcome := classify(eng)
-				switch {
-				case outcome == None:
-					tallies[w].none++
-				case outcome >= 0 && outcome < cfg.Outcomes:
-					tallies[w].counts[outcome]++
-				default:
-					// Record the bug and stop this worker; panicking here
-					// would crash the process from a non-caller goroutine.
-					tallies[w].err = fmt.Sprintf(
-						"mc: classifier returned %d for trial %d, want [0,%d) or None",
-						outcome, i, cfg.Outcomes)
-					return
-				}
-			}
-		}(w)
 	}
-	wg.Wait()
-	for _, t := range tallies {
-		if t.err != "" {
-			panic(t.err)
+	forEachTrial(cfg, lo, hi, newEngine, func(w, i int, eng E) {
+		switch outcome := classify(eng); {
+		case outcome == None:
+			tallies[w].none++
+		case outcome >= 0 && outcome < cfg.Outcomes:
+			tallies[w].counts[outcome]++
+		default:
+			panic(fmt.Sprintf("mc: classifier returned %d for trial %d, want [0,%d) or None",
+				outcome, i, cfg.Outcomes))
 		}
-	}
-
+	})
 	for _, t := range tallies {
 		for i, c := range t.counts {
 			res.Counts[i] += c
@@ -138,45 +165,13 @@ func RunNumericWith[E any](cfg Config, newEngine func(gen *rng.PCG) E, measure f
 // partition of [0, n) merge (MergeMoments) to the forest — and Summary —
 // of the full run bit-for-bit. cfg.Trials and cfg.Outcomes are ignored.
 func RunNumericRangeWith[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E, measure func(eng E) float64) Moments {
-	if lo < 0 || hi < lo {
-		panic(fmt.Sprintf("mc: invalid trial range [%d,%d)", lo, hi))
-	}
+	checkRange(lo, hi)
 	if lo == hi {
 		return nil
 	}
-	workers := rangeWorkers(cfg.Workers, hi-lo)
 	values := make([]float64, hi-lo)
-	panics := make([]string, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer recoverTrialPanic(&panics[w])
-			gen := rng.NewStream(cfg.Seed, uint64(w))
-			eng := newEngine(gen)
-			for i := lo + w; i < hi; i += workers {
-				gen.Reseed(cfg.Seed, uint64(i))
-				values[i-lo] = measure(eng)
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, p := range panics {
-		if p != "" {
-			panic(p)
-		}
-	}
+	forEachTrial(cfg, lo, hi, newEngine, func(_, i int, eng E) {
+		values[i-lo] = measure(eng)
+	})
 	return NewMoments(lo, values)
-}
-
-// rangeWorkers resolves the worker count for a range of n trials.
-func rangeWorkers(workers, n int) int {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	return workers
 }

@@ -29,7 +29,7 @@ func (p *PCG) Normal(mean, stddev float64) float64 {
 
 // Discrete samples an index i with probability weights[i] / sum(weights).
 // Negative weights are treated as zero. It panics if the total weight is not
-// positive. For repeated sampling from the same weights prefer NewAlias.
+// positive.
 func (p *PCG) Discrete(weights []float64) int {
 	total := 0.0
 	for _, w := range weights {

@@ -123,16 +123,15 @@ func (d *Direct) Step(horizon float64) (int, StepStatus) {
 // bound floating-point drift). It is exact and asymptotically faster than
 // Direct on wide networks.
 type OptimizedDirect struct {
-	comp      *chem.Compiled
-	gen       *rng.PCG
-	state     chem.State
-	t         float64
-	prop      []float64
-	sums      []float64 // per-block partial sums; nil below chem.BlockThreshold
-	composite *chem.Composite
-	total     float64
-	stale     int // steps since last full recomputation
-	refresh   int // full recomputation period
+	comp    *chem.Compiled
+	gen     *rng.PCG
+	state   chem.State
+	t       float64
+	prop    []float64
+	sums    []float64 // per-block partial sums; nil below chem.BlockThreshold
+	total   float64
+	stale   int // steps since last full recomputation
+	refresh int // full recomputation period
 }
 
 // NewOptimizedDirect returns an OptimizedDirect engine over net at the
@@ -166,21 +165,6 @@ func NewOptimizedDirectCompiled(comp *chem.Compiled, gen *rng.PCG) *OptimizedDir
 	return o
 }
 
-// UseComposite switches wide-kernel channel selection from the two-level
-// block-sum scan to the composite-rejection sampler (chem.Composite,
-// alias-table proposals from the characteristic-state propensities). The
-// sampler is exact in distribution but consumes a variable number of
-// uniforms per event, so it is opt-in: enabling it forks the engine's
-// randomness stream away from the canonical SelectBlock stream. No-op on
-// kernels below chem.BlockThreshold.
-func (o *OptimizedDirect) UseComposite() {
-	if o.sums == nil {
-		return
-	}
-	o.composite = o.comp.NewComposite()
-	o.composite.Refresh(o.prop)
-}
-
 // Network returns the simulated network.
 func (o *OptimizedDirect) Network() *chem.Network { return o.comp.Network() }
 
@@ -204,12 +188,9 @@ func (o *OptimizedDirect) Reset(state chem.State, t float64) {
 func (o *OptimizedDirect) recomputeAll() {
 	if o.sums != nil {
 		// Wide kernels renormalise to the canonical block-fold total so
-		// every full-refresh path (this one, the fused races, BatchRace)
-		// lands on bitwise the same value.
+		// every full-refresh path (this one and the fused races) lands on
+		// bitwise the same value.
 		o.total = o.comp.PropensitiesBlocksInto(o.state, o.prop, o.sums)
-		if o.composite != nil {
-			o.composite.Refresh(o.prop)
-		}
 	} else {
 		o.total = o.comp.PropensitiesInto(o.state, o.prop)
 	}
@@ -218,16 +199,12 @@ func (o *OptimizedDirect) recomputeAll() {
 
 // selectChannel picks the firing channel for a cumulative target on the
 // engine's cached propensities: the flat fold-left scan on narrow kernels
-// (the historical, stream-pinned semantics), the two-level block scan — or
-// the opt-in composite sampler — on wide ones. -1 means cached-total
-// drift; callers recompute and retry.
+// (the historical, stream-pinned semantics), the two-level block scan on
+// wide ones. -1 means cached-total drift; callers recompute and retry.
 //
 //stochlint:noalloc
 func (o *OptimizedDirect) selectChannel(target float64) int {
 	if o.sums != nil {
-		if o.composite != nil {
-			return o.composite.Select(o.gen, o.prop, o.sums, target)
-		}
 		return o.comp.SelectBlock(o.prop, o.sums, target)
 	}
 	acc := 0.0
@@ -284,9 +261,6 @@ func (o *OptimizedDirect) Step(horizon float64) (int, StepStatus) {
 	o.total = comp.FireAndRefresh(fired, o.state, o.prop, o.total)
 	if o.sums != nil {
 		comp.RefreshBlockSums(fired, o.prop, o.sums)
-		if o.composite != nil {
-			o.composite.RefreshAfter(fired, o.prop)
-		}
 	}
 	o.stale++
 	if o.stale >= o.refresh || o.total < 0 {

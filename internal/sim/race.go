@@ -143,9 +143,6 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 		}
 		if sums != nil {
 			comp.RefreshBlockSums(fired, prop, sums)
-			if o.composite != nil {
-				o.composite.RefreshAfter(fired, prop)
-			}
 		}
 		stale++
 		if stale >= o.refresh || total < 0 {
