@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"stochsynth/internal/chem"
@@ -180,29 +181,29 @@ func TestScenarioJournalResume(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	local := shard.LocalRunner(shard.NewRegistry())
-	served := 0
+	// The coordinator dispatches from several goroutines: count atomically.
+	var served atomic.Int64
 	firstPass := func(sp shard.ShardSpec) (shard.ShardResult, error) {
-		if served >= 2 {
+		if served.Add(1) > 2 {
 			return shard.ShardResult{}, fmt.Errorf("injected crash")
 		}
-		served++
 		return local(sp)
 	}
 	if _, err := shard.ResumeCoordinate(spec, path, 4, firstPass, shard.Options{}); err == nil {
 		t.Fatal("crashing first pass reported success")
 	}
 
-	replayed := 0
+	var replayed atomic.Int64
 	secondPass := func(sp shard.ShardSpec) (shard.ShardResult, error) {
-		replayed++
+		replayed.Add(1)
 		return local(sp)
 	}
 	res, err := shard.ResumeCoordinate(spec, path, 4, secondPass, shard.Options{})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	if replayed == 0 || replayed >= 4 {
-		t.Errorf("resume dispatched %d shards, want the missing ranges only (1..3)", replayed)
+	if n := replayed.Load(); n == 0 || n >= 4 {
+		t.Errorf("resume dispatched %d shards, want the missing ranges only (1..3)", n)
 	}
 	if !bytes.Equal(encodeResult(t, res), encodeResult(t, want)) {
 		t.Error("resumed sweep is not bitwise identical to the uninterrupted run")

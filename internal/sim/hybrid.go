@@ -29,6 +29,14 @@ import (
 // do perturb slow reactants are felt at leap resolution (bounded by
 // Epsilon) rather than ignored.
 //
+// Relays and chains are settled lazily. Nothing outside an active relay or
+// chain reads its species, so each step only adds its elapsed time to an
+// owed interval, and the transient law is drawn once over all of it: just
+// before a relay's or chain's activity or inflow changes, before any Step
+// that does not return Fired, and when Run returns. With constant inflow
+// the law composes over consecutive intervals, so this is exact in
+// distribution.
+//
 // Exactness: when no fast channel net-changes any reactant of a slow
 // channel — true for the synthesised lambda model's hot phases, where the
 // only high-throughput channels are the clock/decay relay — the slow
@@ -37,7 +45,7 @@ import (
 // ε-accurate per leap. Protected species themselves are always written by
 // exact steps only.
 //
-// Engine-contract deviations, both deliberate:
+// Engine-contract deviations, all deliberate:
 //
 //   - On Horizon, fast species have advanced to the horizon (exact engines
 //     leave the state untouched). The relay law and leap chunks are Markov,
@@ -47,6 +55,11 @@ import (
 //     ticking into a drain that no slow channel can ever read) reports
 //     Quiescent under an infinite horizon: the slow marginal is frozen
 //     forever, even though Direct would burn events indefinitely.
+//   - After a Fired step, State shows relay and chain species as of the
+//     last settlement, not at Time. Protected species are never relay
+//     species, and a blocked dependent has zero propensity whatever the
+//     relay count, so no exact channel reads the stale counts. Run (and so
+//     RunThresholdRace) settles before it returns.
 //
 // Step reports only slow/exact firings (the decision events); batched
 // firings are tallied in FastEvents. Internally the engine runs on the
@@ -106,6 +119,11 @@ type Hybrid struct {
 	liveChans   []int32 // not relay-handled: exactChans ∪ leapChans
 	leapDemoted bool    // this iteration's leap pool joined the exact race
 
+	// owed is the time the active relays and chains have not yet been
+	// advanced over. Each step adds its elapsed time; settle draws the
+	// transient law once over the whole interval (see settle).
+	owed float64
+
 	counts     []int64
 	drift      []float64
 	sigma2     []float64
@@ -115,6 +133,7 @@ type Hybrid struct {
 	// Deterministic work counters since the last Reset.
 	fullRecomputes int64
 	propEvals      int64
+	propagations   int64
 }
 
 // NewHybrid returns a Hybrid engine over net at the default initial state.
@@ -246,12 +265,18 @@ func (h *Hybrid) FullRecomputes() int64 { return h.fullRecomputes }
 // each). Both counters are exact functions of the seed.
 func (h *Hybrid) PropensityEvals() int64 { return h.propEvals }
 
+// Propagations returns the number of analytic relay/chain settlements
+// since the last Reset: settlements of a positive owed interval while at
+// least one relay or chain was active. Like the other counters it is an
+// exact function of the seed.
+func (h *Hybrid) Propagations() int64 { return h.propagations }
+
 // Partition exposes the derived channel partition (read-only, in original
 // reaction indices).
 func (h *Hybrid) Partition() *chem.Partition { return h.part }
 
 // Reset repositions the engine at a copy of state and time t, recomputing
-// every propensity.
+// every propensity and dropping any owed relay/chain interval.
 func (h *Hybrid) Reset(state chem.State, t float64) {
 	if len(state) != h.comp.NumSpecies() {
 		panic("sim: state length does not match network species count")
@@ -261,8 +286,9 @@ func (h *Hybrid) Reset(state chem.State, t float64) {
 	}
 	copy(h.state, state)
 	h.t = t
+	h.owed = 0
 	h.fastEvents = 0
-	h.fullRecomputes, h.propEvals = 0, 0
+	h.fullRecomputes, h.propEvals, h.propagations = 0, 0, 0
 	h.pendingFull = true
 	h.applyPending()
 }
@@ -304,7 +330,8 @@ func (h *Hybrid) recompute(chans []int32) {
 
 // refresh brings propensities up to date and re-derives relay and chain
 // activity, returning the exact-set and leap-set totals for this
-// iteration.
+// iteration. The owed interval ran under the stored activity and rates,
+// so it is settled before the first of them is overwritten.
 //
 //stochlint:noalloc
 func (h *Hybrid) refresh() (aExact, aLeap float64) {
@@ -323,15 +350,16 @@ func (h *Hybrid) refresh() (aExact, aLeap float64) {
 				break
 			}
 		}
-		if active != h.relayActive[k] {
-			h.relayActive[k] = active
-			changed = true
-		}
-		h.relayRate[k] = 0
+		rate := 0.0
 		if active {
 			for _, pr := range h.relayProds[k] {
-				h.relayRate[k] += h.prop[pr]
+				rate += h.prop[pr]
 			}
+		}
+		if active != h.relayActive[k] || rate != h.relayRate[k] {
+			h.settle()
+			changed = changed || active != h.relayActive[k]
+			h.relayActive[k], h.relayRate[k] = active, rate
 		}
 	}
 	// Chains gate exactly like relays: analytic only while every catalytic
@@ -345,20 +373,24 @@ func (h *Hybrid) refresh() (aExact, aLeap float64) {
 				break
 			}
 		}
-		if active != h.chainActive[k] {
-			h.chainActive[k] = active
-			changed = true
-		}
-		h.chainLamA[k], h.chainLamB[k] = 0, 0
+		lamA, lamB := 0.0, 0.0
 		if active {
 			for _, pr := range h.chainProds[k] {
-				h.chainLamA[k] += h.prop[pr]
+				lamA += h.prop[pr]
 			}
 			for _, pr := range h.chainBProds[k] {
-				h.chainLamB[k] += h.prop[pr]
+				lamB += h.prop[pr]
 			}
 		}
+		if active != h.chainActive[k] || lamA != h.chainLamA[k] || lamB != h.chainLamB[k] {
+			h.settle()
+			changed = changed || active != h.chainActive[k]
+			h.chainActive[k], h.chainLamA[k], h.chainLamB[k] = active, lamA, lamB
+		}
 	}
+	// A settlement moved relay or chain species: bring their readers
+	// current before the class sums read them.
+	h.applyPending()
 	if changed {
 		h.buildClasses()
 	}
@@ -454,6 +486,8 @@ func (h *Hybrid) blockedBesides(c int, s chem.Species) bool {
 
 // Step implements Engine: it advances fast channels (analytically or by
 // leaps) until the next slow/exact firing, which it applies and reports.
+// The elapsed time is owed to the active relays and chains; every return
+// other than Fired settles it.
 //
 //stochlint:noalloc
 func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
@@ -471,13 +505,9 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 			// Only relay-internal activity (possibly none) remains; the
 			// slow marginal is frozen.
 			if math.IsInf(horizon, 1) {
-				return -1, Quiescent
+				return h.halt(Quiescent)
 			}
-			if dt := horizon - h.t; dt > 0 {
-				h.propagateRelays(dt)
-			}
-			h.t = horizon
-			return -1, Horizon
+			return h.clamp(horizon)
 		}
 
 		leaping := aLeap > 0 && aLeap >= h.LeapFactor*aExact && iter < maxIters
@@ -494,17 +524,13 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 			total := aExact + aLeap
 			dt := h.gen.Exp(total)
 			if h.t+dt > horizon {
-				if rem := horizon - h.t; rem > 0 {
-					h.propagateRelays(rem)
-				}
-				h.t = horizon
-				return -1, Horizon
+				return h.clamp(horizon)
 			}
-			h.propagateRelays(dt)
+			h.owed += dt
 			h.t += dt
 			fired := h.pickExact(total)
 			if fired < 0 {
-				return -1, Quiescent // unreachable: total > 0
+				return h.halt(Quiescent) // unreachable: total > 0
 			}
 			return h.fire(fired), Fired
 		}
@@ -546,14 +572,14 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 				slowLimited = false
 				tau = applied
 			}
-			h.propagateRelays(tau)
+			h.owed += tau
 			h.t += tau
 			spent += aExact * tau
 		}
 		switch {
 		case horizonLimited:
 			h.t = horizon
-			return -1, Horizon
+			return h.halt(Horizon)
 		case slowLimited:
 			// The budget ran out inside this chunk: an exact-set channel
 			// fires now, selected in proportion to the post-chunk
@@ -666,39 +692,74 @@ func (h *Hybrid) exactFallback(horizon float64) (int, StepStatus) {
 	h.leapDemoted = true
 	aExact := h.refreshExactOnly()
 	if aExact <= 0 {
-		return -1, Quiescent
+		return h.halt(Quiescent)
 	}
 	dt := h.gen.Exp(aExact)
 	if h.t+dt > horizon {
-		if rem := horizon - h.t; rem > 0 {
-			h.propagateRelays(rem)
-		}
-		h.t = horizon
-		return -1, Horizon
+		return h.clamp(horizon)
 	}
-	h.propagateRelays(dt)
+	h.owed += dt
 	h.t += dt
 	fired := h.pickExact(aExact)
 	if fired < 0 {
-		return -1, Quiescent
+		return h.halt(Quiescent)
 	}
 	return h.fire(fired), Fired
+}
+
+// clamp advances the clock to horizon, owing the relays and chains the
+// remaining interval, and settles: a Horizon step leaves every species
+// current at the horizon.
+//
+//stochlint:noalloc
+func (h *Hybrid) clamp(horizon float64) (int, StepStatus) {
+	if rem := horizon - h.t; rem > 0 {
+		h.owed += rem
+	}
+	h.t = horizon
+	return h.halt(Horizon)
+}
+
+// halt settles the owed interval and reports a step that fired nothing.
+//
+//stochlint:noalloc
+func (h *Hybrid) halt(status StepStatus) (int, StepStatus) {
+	h.settle()
+	return -1, status
+}
+
+// settle advances every active relay and chain over the owed interval,
+// under the activity and rates stored for it, and clears the debt. The
+// stored values held for the whole interval, and the immigration-death
+// and catenary transients compose over consecutive intervals
+// (Chapman–Kolmogorov), so one draw has the law of a draw per step.
+//
+//stochlint:noalloc
+func (h *Hybrid) settle() {
+	dt := h.owed
+	if dt <= 0 {
+		return
+	}
+	h.owed = 0
+	if h.propagateRelays(dt) {
+		h.propagations++
+	}
 }
 
 // propagateRelays advances every active relay over dt with the exact
 // immigration-death transient: of x current molecules each survives with
 // probability e^{-μ dt}; births are Poisson(λ dt) and each survives with
-// the uniform-arrival probability (1 - e^{-μ dt})/(μ dt).
+// the uniform-arrival probability (1 - e^{-μ dt})/(μ dt). It then
+// advances the active chains and reports whether any relay or chain was
+// active.
 //
 //stochlint:noalloc
-func (h *Hybrid) propagateRelays(dt float64) {
-	if dt <= 0 {
-		return
-	}
+func (h *Hybrid) propagateRelays(dt float64) (advanced bool) {
 	for k := range h.part.Relays {
 		if !h.relayActive[k] {
 			continue
 		}
+		advanced = true
 		r := &h.part.Relays[k]
 		s := r.Species
 		x := h.state[s]
@@ -725,7 +786,7 @@ func (h *Hybrid) propagateRelays(dt float64) {
 		h.fastEvents += births + deaths
 		h.pendingRelay = true
 	}
-	h.propagateChains(dt)
+	return h.propagateChains(dt) || advanced
 }
 
 // propagateChains advances every active conversion chain a → b → ∅ over dt
@@ -748,14 +809,18 @@ func (h *Hybrid) propagateRelays(dt float64) {
 //
 // FastEvents accounting is telemetry, as for relays: births, A exits, and
 // B deaths among unconverted molecules each count one firing; a molecule
-// that converts and then dies within dt is tallied once, not twice.
+// that converts and then dies within dt is tallied once, not twice. The
+// chain tally therefore depends on how the trajectory is cut into settled
+// intervals, unlike the relay tally. It reports whether any chain was
+// active.
 //
 //stochlint:noalloc
-func (h *Hybrid) propagateChains(dt float64) {
+func (h *Hybrid) propagateChains(dt float64) (advanced bool) {
 	for k := range h.part.Chains {
 		if !h.chainActive[k] {
 			continue
 		}
+		advanced = true
 		cn := &h.part.Chains[k]
 		xa, xb := h.state[cn.A], h.state[cn.B]
 		lamA, lamB := h.chainLamA[k], h.chainLamB[k]
@@ -814,4 +879,5 @@ func (h *Hybrid) propagateChains(dt float64) {
 		h.pendingRelay = true
 		h.fastEvents += nA + nB + (xa + nA - sA - sA2) + (xb - sB) + (nB - sB2)
 	}
+	return advanced
 }

@@ -140,8 +140,26 @@ type RunResult struct {
 	Reason StopReason
 }
 
+// settler is implemented by engines that defer part of their state update
+// between fired events (the hybrid's owed relay and chain interval).
+// settle brings the whole state current at Time().
+type settler interface {
+	settle()
+}
+
 // Run drives eng until a stop condition is met and reports what happened.
+// On return the whole state is current at Time(), also for engines that
+// defer fast species between events (see Hybrid).
 func Run(eng Engine, opts RunOptions) RunResult {
+	res := run(eng, opts)
+	if s, ok := eng.(settler); ok {
+		s.settle()
+	}
+	return res
+}
+
+// run is Run's event loop.
+func run(eng Engine, opts RunOptions) RunResult {
 	horizon := math.Inf(1)
 	if opts.MaxTime > 0 {
 		horizon = opts.MaxTime
