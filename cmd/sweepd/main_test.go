@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"stochsynth/internal/chem"
 	"stochsynth/internal/lambda"
 	"stochsynth/internal/mc"
 	"stochsynth/internal/rng"
@@ -482,4 +483,65 @@ func TestZeroTrialSweepsRender(t *testing.T) {
 			t.Errorf("%v: output contains NaN:\n%s", args, stdout.String())
 		}
 	}
+}
+
+// TestRelayChainFixtureShapes keeps testdata/relay-chain.crn (the CI
+// hybrid smoke sweep's model) honest: with the racers protected, the
+// hybrid partition finds one one-stage relay and one two-stage relay, each
+// gated by one catalytic dependent, and in trials of the race both
+// dependents burn their fuel and block before the race is decided, so
+// both relays are propagated analytically.
+func TestRelayChainFixtureShapes(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("testdata", "relay-chain.crn"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := chem.ParseNetworkString(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o1, o2 := net.MustSpecies("o1"), net.MustSpecies("o2")
+	gen := rng.NewStream(7, 0)
+	h := sim.NewHybrid(net, []chem.Species{o1, o2}, gen)
+	relays := h.Partition().Relays
+	if len(relays) != 2 {
+		t.Fatalf("relays = %+v, want a one-stage and a two-stage relay", relays)
+	}
+	for _, want := range []struct{ a, b string }{{"a", ""}, {"p", "q"}} {
+		found := false
+		for _, r := range relays {
+			if r.A != net.MustSpecies(want.a) {
+				continue
+			}
+			found = true
+			if (want.b == "") != (r.B < 0) || (r.B >= 0 && r.B != net.MustSpecies(want.b)) {
+				t.Errorf("relay on %s has downstream %d, want %q", want.a, r.B, want.b)
+			}
+			if len(r.Dependents) != 1 {
+				t.Errorf("relay on %s has dependents %v, want one", want.a, r.Dependents)
+			}
+		}
+		if !found {
+			t.Errorf("no relay on %s: %+v", want.a, relays)
+		}
+	}
+	x, z := net.MustSpecies("x"), net.MustSpecies("z")
+	const trials = 50
+	blocked := 0
+	for i := 0; i < trials; i++ {
+		gen.Reseed(7, uint64(i))
+		h.Reset(net.InitialState(), 0)
+		res := sim.RunThresholdRace(h, sim.SpeciesThreshold{Species: o1, Count: 6},
+			sim.SpeciesThreshold{Species: o2, Count: 6}, 1_000_000)
+		if res.Reason != sim.StopPredicate {
+			t.Fatalf("trial %d: race ended with %v", i, res.Reason)
+		}
+		if st := h.State(); st[x] < 2 && st[z] < 2 && h.Propagations() > 0 {
+			blocked++
+		}
+	}
+	if blocked < trials/2 {
+		t.Errorf("both dependents blocked and relays propagated in %d of %d trials, want most", blocked, trials)
+	}
+	t.Logf("both dependents blocked before the race was decided in %d of %d trials", blocked, trials)
 }

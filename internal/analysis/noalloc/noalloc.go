@@ -4,8 +4,9 @@
 // steady-state path.
 //
 // The annotated functions are the per-event hot loops (compiled-kernel
-// Step, FireAndRefresh, the fused threshold races, TauLeap.Leap) whose
-// zero-allocation property the Monte Carlo throughput numbers rest on.
+// Step, FireAndRefresh, the fused threshold races, the hybrid's relay
+// propagator) whose zero-allocation property the Monte Carlo throughput
+// numbers rest on.
 // The runtime AllocsPerRun tests remain the ground truth (escape analysis
 // can prove some flagged constructs stack-allocated); this check is the
 // fast static tripwire that fires in CI before a benchmark ever runs.

@@ -4,9 +4,9 @@ import "testing"
 
 // TestPartitionConversionChain: the canonical catenary — constant
 // production of a, unit conversion a → b (competing with a direct a sink),
-// first-order b decay — classifies as one Chain with the right channel
-// roles and hazards, and no Relay (a's sink has products, b's producer is
-// not unit).
+// first-order b decay — classifies as one two-stage Relay with the right
+// channel roles and hazards, and no one-stage relay on either species (a's
+// conversion has products, b's producer is not unit).
 func TestPartitionConversionChain(t *testing.T) {
 	net := MustParseNetwork(`
 a = 3
@@ -18,13 +18,10 @@ b -> 0 @ 0.25
 0 -> b @ 0.1
 `)
 	p := NewPartition(net, nil)
-	if len(p.Relays) != 0 {
-		t.Fatalf("relays = %+v, want none (conversion breaks both relay shapes)", p.Relays)
+	if len(p.Relays) != 1 {
+		t.Fatalf("relays = %+v, want exactly one", p.Relays)
 	}
-	if len(p.Chains) != 1 {
-		t.Fatalf("chains = %+v, want exactly one", p.Chains)
-	}
-	c := p.Chains[0]
+	c := p.Relays[0]
 	if c.A != net.MustSpecies("a") || c.B != net.MustSpecies("b") {
 		t.Fatalf("chain species = (%s, %s), want (a, b)", net.Name(c.A), net.Name(c.B))
 	}
@@ -43,15 +40,14 @@ b -> 0 @ 0.25
 	if len(c.BProducers) != 1 || c.BProducers[0] != 4 {
 		t.Errorf("chain B producers = %v, want [4]", c.BProducers)
 	}
-	for i := 0; i < net.NumReactions(); i++ {
-		if !p.ChainHandled[i] {
-			t.Errorf("ChainHandled[%d] = false, want true (whole network is the chain)", i)
-		}
+	if len(c.Dependents) != 0 {
+		t.Errorf("chain dependents = %v, want none (whole network is the chain)", c.Dependents)
 	}
 }
 
 // TestPartitionChainDependentGates: a catalytic reader of b joins
-// Dependents (gating analytic use at runtime) without rejecting the chain.
+// Dependents (gating analytic use at runtime) without rejecting the
+// two-stage relay.
 func TestPartitionChainDependentGates(t *testing.T) {
 	net := MustParseNetwork(`
 g = 0
@@ -62,22 +58,26 @@ b -> 0 @ 1
 b + g + x -> b + g + p @ 1e-3
 `)
 	p := NewPartition(net, nil)
-	if len(p.Chains) != 1 {
-		t.Fatalf("chains = %+v, want one", p.Chains)
+	if len(p.Relays) != 1 || p.Relays[0].B != net.MustSpecies("b") {
+		t.Fatalf("relays = %+v, want one two-stage relay a → b", p.Relays)
 	}
-	c := p.Chains[0]
+	c := p.Relays[0]
 	if len(c.Dependents) != 1 || c.Dependents[0] != 3 {
 		t.Fatalf("chain dependents = %v, want [3]", c.Dependents)
 	}
-	if p.ChainHandled[3] {
-		t.Fatal("dependent channel must not be chain-handled")
+	for _, set := range [][]int{c.Producers, c.BProducers, c.Convert, c.ASinks, c.BSinks} {
+		for _, i := range set {
+			if i == 3 {
+				t.Fatal("dependent channel must not be relay-handled")
+			}
+		}
 	}
 }
 
-// TestPartitionChainRejections: shapes one step away from a chain must not
-// classify — a three-stage cascade (middle species read by a conversion),
-// a second-order consumer of b, a non-unit conversion, and a protected
-// downstream species.
+// TestPartitionChainRejections: shapes one step away from a two-stage relay
+// must not classify as any relay — a three-stage cascade (middle species
+// read by a conversion), a second-order consumer of b, a non-unit
+// conversion, and a protected downstream species.
 func TestPartitionChainRejections(t *testing.T) {
 	cases := []struct {
 		name, src string
@@ -112,8 +112,8 @@ b -> 0 @ 1
 			prot = []Species{net.MustSpecies(tc.protected)}
 		}
 		p := NewPartition(net, prot)
-		if len(p.Chains) != 0 {
-			t.Errorf("%s: chains = %+v, want none", tc.name, p.Chains)
+		if len(p.Relays) != 0 {
+			t.Errorf("%s: relays = %+v, want none", tc.name, p.Relays)
 		}
 	}
 }

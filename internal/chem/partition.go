@@ -14,75 +14,41 @@ package chem
 //     does — so the channels that write the observable, and the channels
 //     that feed their propensities, always step exactly.
 //
-//  2. Which species form *relay* subsystems — linear birth-death chains
-//     (constant-rate production, first-order decay) that can be advanced
-//     analytically over an arbitrary interval with the exact transient
-//     distribution (Poisson births thinned by exponential survival)? The
-//     synthesised networks burn almost all of their events in exactly this
-//     shape: the logarithm module's b → b + a clock feeding the a → ∅
-//     decay.
+//  2. Which species form *relay* subsystems — linear first-order catenaries
+//     of one or two stages (constant-rate production, unit conversion,
+//     first-order decay) that can be advanced analytically over an
+//     arbitrary interval with the exact transient distribution (Poisson
+//     births thinned by sequential exponential survival)? The synthesised
+//     networks burn almost all of their events in exactly this shape: the
+//     logarithm module's b → b + a clock feeding the a → ∅ decay.
 type Partition struct {
 	// FastEligible[i] reports whether reaction i may be approximated
 	// (batched) by a hybrid simulator. Non-eligible channels must always be
 	// stepped exactly.
 	FastEligible []bool
-	// Relays lists the detected analytically-solvable birth-death species,
-	// in increasing species order.
+	// Relays lists the detected analytically-solvable catenaries, in
+	// increasing order of the upstream species. No species belongs to two.
 	Relays []Relay
-	// RelayHandled[i] reports whether reaction i is a producer or sink of
-	// some relay (and is therefore advanced by the relay propagator, not by
-	// exact stepping or generic leaping, whenever that relay is active).
-	RelayHandled []bool
-	// Chains lists the detected two-stage conversion chains a → b → ∅ that
-	// extend the relay law to sequential first-order kinetics, in increasing
-	// order of the upstream species.
-	Chains []Chain
-	// ChainHandled[i] reports whether reaction i belongs to some chain
-	// (producer, conversion, or sink) and is advanced by the chain
-	// propagator whenever that chain is active.
-	ChainHandled []bool
 }
 
-// Relay describes one analytically-solvable species: every molecule of
-// Species is born from a constant-propensity producer and dies through
-// first-order sinks, so over any interval in which the rest of the state is
-// frozen the count evolves as an immigration-death process with a
-// closed-form transient law.
-type Relay struct {
-	// Species is the relayed species.
-	Species Species
-	// Producers are the channels with net production of Species. Each has
-	// net stoichiometry exactly {Species: +1} and a propensity that no
-	// fast-eligible channel can change (its reactants are only written by
-	// non-eligible channels, which end a hybrid interval when they fire).
-	Producers []int
-	// Sinks are the first-order channels Species → ∅ (single unit reactant,
-	// no products). SinkRate is the sum of their rate constants: the
-	// per-molecule death hazard.
-	Sinks    []int
-	SinkRate float64
-	// Dependents are channels that use Species catalytically (it appears in
-	// their reactants with net change zero). While any dependent has
-	// positive propensity the analytic law is invalid — the simulator must
-	// fall back to exact stepping for the relay's channels.
-	Dependents []int
-}
-
-// Chain describes a two-stage first-order conversion chain: molecules of A
-// exit at total per-molecule hazard MuA (unit conversions A → B plus unit
-// sinks A → ∅, a fraction ConvRate/MuA of exits converting), and molecules
-// of B decay at hazard MuB. With the rest of the state frozen, the pair
-// (A, B) evolves as a linear catenary whose joint transient law is closed
+// Relay describes a linear first-order catenary of one or two stages.
+// Molecules of A are born from constant-propensity producers and exit at
+// total per-molecule hazard MuA: through unit sinks A → ∅ and, in a
+// two-stage relay, through unit conversions A → B (a fraction
+// ConvRate/MuA of exits). Molecules of B decay at hazard MuB. With the rest
+// of the state frozen, the counts evolve as an immigration-death process
+// (one stage) or a two-stage catenary whose joint transient law is closed
 // form — sequential exponential survival plus Poisson immigration — so a
-// hybrid simulator can advance it over an arbitrary interval exactly, the
-// same way it advances single-species relays.
-type Chain struct {
-	// A is the upstream species, B the downstream (conversion product).
+// hybrid simulator can advance them over an arbitrary interval exactly.
+type Relay struct {
+	// A is the upstream species; B the downstream (conversion product), or
+	// -1 for a one-stage relay.
 	A, B Species
 	// Producers are the constant-propensity channels with net stoichiometry
-	// exactly {A: +1}; BProducers the analogous direct producers of B. Both
-	// obey the relay producer conditions (fast-eligible, reactants
-	// unperturbed by any fast-eligible channel).
+	// exactly {A: +1}; BProducers the analogous direct producers of B. Each
+	// is fast-eligible and has no reactant that any fast-eligible channel
+	// net-changes (its reactants are only written by non-eligible channels,
+	// which end a hybrid interval when they fire).
 	Producers  []int
 	BProducers []int
 	// Convert are the unit conversion channels (reactants exactly {A:1},
@@ -95,8 +61,9 @@ type Chain struct {
 	// rate (total A-exit hazard); MuB the summed BSink rate.
 	ConvRate, MuA, MuB float64
 	// Dependents are channels reading A or B catalytically (net change
-	// zero); as with relays, any unblocked dependent invalidates the
-	// analytic law.
+	// zero). While any dependent has positive propensity the analytic law
+	// is invalid — the simulator must fall back to exact stepping for the
+	// relay's channels.
 	Dependents []int
 }
 
@@ -111,7 +78,7 @@ func NewPartition(net *Network, protected []Species) *Partition {
 		isProtected[s] = true
 	}
 
-	// Net stoichiometry per reaction, and reactant incidence.
+	// Net stoichiometry per reaction.
 	netDelta := make([][]int64, numR)
 	for i := 0; i < numR; i++ {
 		netDelta[i] = Delta(net.Reaction(i), numS)
@@ -139,11 +106,7 @@ func NewPartition(net *Network, protected []Species) *Partition {
 			guarded[t.Species] = true
 		}
 	}
-	p := &Partition{
-		FastEligible: make([]bool, numR),
-		RelayHandled: make([]bool, numR),
-		ChainHandled: make([]bool, numR),
-	}
+	p := &Partition{FastEligible: make([]bool, numR)}
 	for i := 0; i < numR; i++ {
 		eligible := !touchesProtected[i]
 		if eligible {
@@ -157,17 +120,9 @@ func NewPartition(net *Network, protected []Species) *Partition {
 		p.FastEligible[i] = eligible
 	}
 
-	// Relay detection. For species s to be a relay:
-	//   - s is not protected (protected species always step exactly);
-	//   - at least one fast-eligible sink: reactants exactly {s:1}, no
-	//     products;
-	//   - every channel with s among its reactants is either such a sink or
-	//     catalytic in s (net zero) — in particular no slow channel reads s,
-	//     so slow propensities are independent of the relay's state;
-	//   - every channel with net production of s is fast-eligible, does not
-	//     read s, has net stoichiometry exactly {s: +1}, and has no reactant
-	//     that any fast-eligible channel net-changes (so its propensity is
-	//     constant between exact events).
+	// Relay detection (conditions in classifyRelay), one ascending pass
+	// over the upstream species. A species joins at most one relay, as its
+	// upstream or its downstream stage.
 	fastChanges := make([]bool, numS) // species net-changed by a fast-eligible channel
 	for i := 0; i < numR; i++ {
 		if !p.FastEligible[i] {
@@ -179,7 +134,44 @@ func NewPartition(net *Network, protected []Species) *Partition {
 			}
 		}
 	}
-	hasReactant := func(i int, s Species) bool {
+	inRelay := make([]bool, numS)
+	for s := Species(0); int(s) < numS; s++ {
+		if isProtected[s] || inRelay[s] {
+			continue
+		}
+		r, ok := classifyRelay(net, s, isProtected, netDelta, p.FastEligible, fastChanges)
+		if !ok || (r.B >= 0 && inRelay[r.B]) {
+			continue
+		}
+		p.Relays = append(p.Relays, r)
+		inRelay[r.A] = true
+		if r.B >= 0 {
+			inRelay[r.B] = true
+		}
+	}
+	return p
+}
+
+// classifyRelay checks the relay conditions with upstream species a and, on
+// success, returns the assembled Relay. The downstream species is
+// discovered from a's conversion channels (all of which must agree on it);
+// without any, the relay has one stage. The conditions, stage by stage:
+//
+//   - every channel reading a is a fast-eligible unit sink a → ∅, a
+//     fast-eligible unit conversion a → b, or catalytic in a and b (a
+//     dependent) — in particular no slow channel reads a, so slow
+//     propensities are independent of the relay's state;
+//   - every channel reading b is a fast-eligible unit sink b → ∅ or
+//     catalytic in a and b (a dependent);
+//   - every other producer of a or b is fast-eligible, nets exactly one
+//     unit of that species, and has no reactant any fast-eligible channel
+//     net-changes (constant propensity between exact events);
+//   - a one-stage relay has at least one sink of a; a two-stage relay has
+//     an unprotected b and at least one sink of b.
+func classifyRelay(net *Network, a Species, isProtected []bool, netDelta [][]int64,
+	fastEligible []bool, fastChanges []bool) (Relay, bool) {
+	r := Relay{A: a, B: -1}
+	reads := func(i int, s Species) bool {
 		for _, t := range net.Reaction(i).Reactants {
 			if t.Species == s {
 				return true
@@ -187,140 +179,92 @@ func NewPartition(net *Network, protected []Species) *Partition {
 		}
 		return false
 	}
-	for s := Species(0); int(s) < numS; s++ {
-		if isProtected[s] {
-			continue
-		}
-		if r, ok := classifyRelay(net, s, netDelta, p.FastEligible, fastChanges, hasReactant); ok {
-			p.Relays = append(p.Relays, r)
-			for _, i := range r.Producers {
-				p.RelayHandled[i] = true
-			}
-			for _, i := range r.Sinks {
-				p.RelayHandled[i] = true
-			}
-		}
-	}
-
-	// Conversion-chain detection. Chains are structurally disjoint from
-	// relays — a chain's A has a sink with products (the conversion), so it
-	// can never classify as a relay, and its B is fed by a non-unit producer
-	// (the conversion nets {A:−1, B:+1}), so neither can B — but a species
-	// is still only allowed into one chain (detection in ascending A order,
-	// first match wins).
-	inChain := make([]bool, numS)
-	for s := Species(0); int(s) < numS; s++ {
-		if isProtected[s] || inChain[s] {
-			continue
-		}
-		if c, ok := classifyChain(net, s, isProtected, netDelta, p.FastEligible, fastChanges, hasReactant); ok {
-			if inChain[c.B] {
-				continue
-			}
-			p.Chains = append(p.Chains, c)
-			inChain[c.A] = true
-			inChain[c.B] = true
-			for _, set := range [][]int{c.Producers, c.BProducers, c.Convert, c.ASinks, c.BSinks} {
-				for _, i := range set {
-					p.ChainHandled[i] = true
-				}
-			}
-		}
-	}
-	return p
-}
-
-// classifyChain checks the conversion-chain conditions with upstream
-// species a and, on success, returns the assembled Chain. The downstream
-// species is discovered from a's conversion channels (all of which must
-// agree on it). The conditions mirror classifyRelay's, stage by stage:
-//
-//   - every channel reading a is a fast-eligible unit conversion a → b, a
-//     fast-eligible unit sink a → ∅, or catalytic in a (a dependent);
-//   - every channel reading b is a fast-eligible unit sink b → ∅ or
-//     catalytic in b (a dependent);
-//   - every other producer of a or b is fast-eligible, nets exactly one
-//     unit of that species, and has no reactant any fast-eligible channel
-//     net-changes (constant propensity between exact events);
-//   - at least one conversion and at least one b sink exist (otherwise the
-//     plain relay law already covers the species).
-func classifyChain(net *Network, a Species, isProtected []bool, netDelta [][]int64,
-	fastEligible []bool, fastChanges []bool, hasReactant func(int, Species) bool) (Chain, bool) {
-	c := Chain{A: a, B: -1}
 	// Pass 1: find the downstream species from a's conversion channels.
 	for i := 0; i < net.NumReactions(); i++ {
 		rx := net.Reaction(i)
-		if rx.Rate == 0 || !hasReactant(i, a) {
+		if rx.Rate == 0 || !reads(i, a) {
 			continue
 		}
 		if b, ok := conversionTarget(rx, netDelta[i], a); ok {
-			if c.B >= 0 && c.B != b {
-				return Chain{}, false // conversions disagree on the target
+			if r.B >= 0 && r.B != b {
+				return Relay{}, false // conversions disagree on the target
 			}
-			c.B = b
+			r.B = b
 		}
 	}
-	if c.B < 0 || isProtected[c.B] {
-		return Chain{}, false
+	b := r.B
+	if b >= 0 && isProtected[b] {
+		return Relay{}, false
 	}
-	b := c.B
+	// dB is the net change of the downstream species (zero without one).
+	dB := func(i int) int64 {
+		if b < 0 {
+			return 0
+		}
+		return netDelta[i][b]
+	}
 	for i := 0; i < net.NumReactions(); i++ {
 		rx := net.Reaction(i)
 		if rx.Rate == 0 {
-			continue
+			continue // can never fire; irrelevant to the relay's dynamics
 		}
-		readsA, readsB := hasReactant(i, a), hasReactant(i, b)
+		readsA, readsB := reads(i, a), b >= 0 && reads(i, b)
 		switch {
 		case readsA:
 			if _, ok := conversionTarget(rx, netDelta[i], a); ok {
 				if !fastEligible[i] {
-					return Chain{}, false
+					return Relay{}, false
 				}
-				c.Convert = append(c.Convert, i)
-				c.ConvRate += rx.Rate
+				r.Convert = append(r.Convert, i)
+				r.ConvRate += rx.Rate
 			} else if isUnitSink(rx, a) {
 				if !fastEligible[i] {
-					return Chain{}, false
+					return Relay{}, false
 				}
-				c.ASinks = append(c.ASinks, i)
-			} else if netDelta[i][a] == 0 && netDelta[i][b] == 0 {
-				c.Dependents = append(c.Dependents, i)
+				r.ASinks = append(r.ASinks, i)
+			} else if netDelta[i][a] == 0 && dB(i) == 0 {
+				r.Dependents = append(r.Dependents, i)
 			} else {
-				return Chain{}, false
+				// Reads a in a non-sink, non-catalytic way (e.g. a
+				// higher-order consumer, or a producer autocatalytic in a).
+				return Relay{}, false
 			}
 		case readsB:
 			if isUnitSink(rx, b) {
 				if !fastEligible[i] {
-					return Chain{}, false
+					return Relay{}, false
 				}
-				c.BSinks = append(c.BSinks, i)
-				c.MuB += rx.Rate
-			} else if netDelta[i][b] == 0 && netDelta[i][a] == 0 {
-				c.Dependents = append(c.Dependents, i)
+				r.BSinks = append(r.BSinks, i)
+				r.MuB += rx.Rate
+			} else if dB(i) == 0 && netDelta[i][a] == 0 {
+				r.Dependents = append(r.Dependents, i)
 			} else {
-				return Chain{}, false
+				return Relay{}, false
 			}
 		case netDelta[i][a] > 0:
 			if !fastEligible[i] || !isUnitProducer(netDelta[i], a) ||
 				producerPerturbed(rx, fastChanges) {
-				return Chain{}, false
+				return Relay{}, false
 			}
-			c.Producers = append(c.Producers, i)
-		case netDelta[i][b] > 0:
+			r.Producers = append(r.Producers, i)
+		case dB(i) > 0:
 			if !fastEligible[i] || !isUnitProducer(netDelta[i], b) ||
 				producerPerturbed(rx, fastChanges) {
-				return Chain{}, false
+				return Relay{}, false
 			}
-			c.BProducers = append(c.BProducers, i)
+			r.BProducers = append(r.BProducers, i)
 		}
 	}
-	for _, i := range c.Convert {
-		c.MuA += net.Reaction(i).Rate
+	for _, i := range r.Convert {
+		r.MuA += net.Reaction(i).Rate
 	}
-	for _, i := range c.ASinks {
-		c.MuA += net.Reaction(i).Rate
+	for _, i := range r.ASinks {
+		r.MuA += net.Reaction(i).Rate
 	}
-	return c, len(c.Convert) > 0 && len(c.BSinks) > 0
+	if b < 0 {
+		return r, len(r.ASinks) > 0
+	}
+	return r, len(r.BSinks) > 0
 }
 
 // conversionTarget reports whether rx is a unit conversion a → b for some
@@ -347,45 +291,6 @@ func conversionTarget(rx *Reaction, delta []int64, a Species) (Species, bool) {
 		return 0, false
 	}
 	return target, true
-}
-
-// classifyRelay checks the relay conditions for species s and, on success,
-// returns the assembled Relay.
-func classifyRelay(net *Network, s Species, netDelta [][]int64, fastEligible []bool,
-	fastChanges []bool, hasReactant func(int, Species) bool) (Relay, bool) {
-	r := Relay{Species: s}
-	for i := 0; i < net.NumReactions(); i++ {
-		rx := net.Reaction(i)
-		if rx.Rate == 0 {
-			continue // can never fire; irrelevant to the relay's dynamics
-		}
-		reads := hasReactant(i, s)
-		produces := netDelta[i][s] > 0
-		switch {
-		case !reads && !produces:
-			// Unrelated channel.
-		case reads && isUnitSink(rx, s):
-			if !fastEligible[i] {
-				return Relay{}, false
-			}
-			r.Sinks = append(r.Sinks, i)
-			r.SinkRate += rx.Rate
-		case reads && netDelta[i][s] == 0:
-			// Catalytic dependent: legal, but gates analytic use.
-			r.Dependents = append(r.Dependents, i)
-		case reads:
-			// Reads s in a non-sink, non-catalytic way (e.g. a higher-order
-			// consumer, or a producer autocatalytic in s): not a relay.
-			return Relay{}, false
-		default: // pure producer
-			if !fastEligible[i] || !isUnitProducer(netDelta[i], s) ||
-				producerPerturbed(rx, fastChanges) {
-				return Relay{}, false
-			}
-			r.Producers = append(r.Producers, i)
-		}
-	}
-	return r, len(r.Sinks) > 0
 }
 
 // isUnitSink reports whether rx is exactly s → ∅: one unit of s as the sole

@@ -40,23 +40,20 @@ func TestPartitionSyntheticShape(t *testing.T) {
 		t.Fatalf("relays = %+v, want exactly one (species a)", p.Relays)
 	}
 	r := p.Relays[0]
-	if r.Species != net.MustSpecies("a") {
-		t.Fatalf("relay species = %s, want a", net.Name(r.Species))
+	if r.A != net.MustSpecies("a") || r.B != -1 {
+		t.Fatalf("relay species = (%d, %d), want a alone (one stage)", r.A, r.B)
 	}
 	if len(r.Producers) != 1 || r.Producers[0] != 0 {
 		t.Errorf("relay producers = %v, want [0] (the clock)", r.Producers)
 	}
-	if len(r.Sinks) != 1 || r.Sinks[0] != 1 || r.SinkRate != 1000 {
-		t.Errorf("relay sinks = %v rate %v, want [1] rate 1000", r.Sinks, r.SinkRate)
+	if len(r.ASinks) != 1 || r.ASinks[0] != 1 || r.MuA != 1000 {
+		t.Errorf("relay sinks = %v rate %v, want [1] rate 1000", r.ASinks, r.MuA)
 	}
 	if len(r.Dependents) != 1 || r.Dependents[0] != 2 {
 		t.Errorf("relay dependents = %v, want [2] (the halving channel)", r.Dependents)
 	}
-	wantHandled := []bool{true, true, false, false, false}
-	for i, want := range wantHandled {
-		if p.RelayHandled[i] != want {
-			t.Errorf("RelayHandled[%d] = %v, want %v", i, p.RelayHandled[i], want)
-		}
+	if len(r.Convert)+len(r.BSinks)+len(r.BProducers) != 0 {
+		t.Errorf("one-stage relay has second-stage channels: %+v", r)
 	}
 }
 
@@ -87,11 +84,11 @@ a -> 0 @ 0.5
 		t.Fatalf("relays = %+v, want one", p.Relays)
 	}
 	r := p.Relays[0]
-	if r.SinkRate != 0.5 || len(r.Producers) != 1 || len(r.Dependents) != 0 {
+	if r.MuA != 0.5 || len(r.Dependents) != 0 {
 		t.Fatalf("relay = %+v", r)
 	}
-	if !p.RelayHandled[0] || !p.RelayHandled[1] {
-		t.Fatalf("both channels should be relay-handled: %v", p.RelayHandled)
+	if len(r.Producers) != 1 || r.Producers[0] != 0 || len(r.ASinks) != 1 || r.ASinks[0] != 1 {
+		t.Fatalf("both channels should be relay-handled: producers %v, sinks %v", r.Producers, r.ASinks)
 	}
 }
 
@@ -106,7 +103,7 @@ src -> 0 @ 0.01
 `)
 	p := NewPartition(net, nil)
 	for _, r := range p.Relays {
-		if r.Species == net.MustSpecies("a") {
+		if r.A == net.MustSpecies("a") {
 			t.Fatalf("a must not be a relay: its producer's propensity is not interval-constant")
 		}
 	}
@@ -129,7 +126,7 @@ func TestPartitionRejectsNonUnitShapes(t *testing.T) {
 		net := MustParseNetwork(c.crn)
 		p := NewPartition(net, nil)
 		for _, r := range p.Relays {
-			if r.Species == net.MustSpecies("a") {
+			if r.A == net.MustSpecies("a") {
 				t.Errorf("%s: a must not be a relay", c.name)
 			}
 		}

@@ -94,7 +94,7 @@ func TestHybridBatchesTheSyntheticHotPath(t *testing.T) {
 		t.Fatalf("partition found %d relays, want 1 (the clock/decay pair): %+v",
 			len(part.Relays), part.Relays)
 	}
-	if got := m.Net.Name(part.Relays[0].Species); got != "a" {
+	if got := m.Net.Name(part.Relays[0].A); got != "a" {
 		t.Fatalf("relay species = %q, want the log module's transient a", got)
 	}
 	// The two working channels (the only writers of cro2/ci2) must be

@@ -24,7 +24,7 @@ func allocPinNet() *chem.Network {
 
 // TestDirectStepZeroAllocs pins the compiled-kernel Direct hot path: after
 // construction, Reset+Step must not allocate (engine-reuse Monte Carlo),
-// matching the TauLeap and Hybrid pins.
+// matching the Hybrid pins.
 func TestDirectStepZeroAllocs(t *testing.T) {
 	net := allocPinNet()
 	d := NewDirect(net, rng.New(7))

@@ -11,31 +11,28 @@ import (
 // (chem.NewPartition) as *slow* — stepped as an exact next-event race — or
 // *fast* — batched between slow events. Fast channels come in two kinds:
 //
-//   - Relay subsystems (constant-rate production feeding first-order decay,
+//   - Relays (chem.Relay): one- or two-stage linear first-order catenaries,
 //     like the synthesised logarithm module's b → b + a clock and its a → ∅
-//     partner) are advanced with the exact closed-form transient law of the
-//     immigration-death process: Poisson births thinned by exponential
-//     survival. Two-stage conversion chains a → b → ∅ (chem.Chain) are
-//     advanced the same way with the sequential-survival law of the linear
-//     catenary (see propagateChains). No approximation at all.
-//   - Other fast-eligible channels are tau-leaped with the same
-//     Cao–Gillespie–Petzold step control as TauLeap — but only while their
-//     propensity dwarfs the slow set's (cold fast channels simply join the
-//     exact race, which costs nothing and stays exact).
+//     partner, or a conversion chain a → b → ∅. They are advanced with the
+//     exact closed-form transient law: Poisson births thinned by sequential
+//     exponential survival (see propagate). No approximation at all.
+//   - Other fast-eligible channels are tau-leaped with Cao–Gillespie–
+//     Petzold step control (cgpTau) — but only while their propensity
+//     dwarfs the slow set's (cold fast channels simply join the exact race,
+//     which costs nothing and stays exact).
 //
 // Slow waiting times are conditioned on the frozen-fast propensity
 // integral: a unit-exponential budget is spent across leap sub-intervals at
 // the slow set's piecewise-frozen total propensity, so fast channels that
-// do perturb slow reactants are felt at leap resolution (bounded by
-// Epsilon) rather than ignored.
+// do perturb slow reactants are felt at leap resolution (each leap bounds
+// the relative propensity change by ε = 0.03) rather than ignored.
 //
-// Relays and chains are settled lazily. Nothing outside an active relay or
-// chain reads its species, so each step only adds its elapsed time to an
-// owed interval, and the transient law is drawn once over all of it: just
-// before a relay's or chain's activity or inflow changes, before any Step
-// that does not return Fired, and when Run returns. With constant inflow
-// the law composes over consecutive intervals, so this is exact in
-// distribution.
+// Relays are settled lazily. Nothing outside an active relay reads its
+// species, so each step only adds its elapsed time to an owed interval,
+// and the transient law is drawn once over all of it: just before a
+// relay's activity or inflow changes, before any Step that does not return
+// Fired, and when Run returns. With constant inflow the law composes over
+// consecutive intervals, so this is exact in distribution.
 //
 // Exactness: when no fast channel net-changes any reactant of a slow
 // channel — true for the synthesised lambda model's hot phases, where the
@@ -55,10 +52,10 @@ import (
 //     ticking into a drain that no slow channel can ever read) reports
 //     Quiescent under an infinite horizon: the slow marginal is frozen
 //     forever, even though Direct would burn events indefinitely.
-//   - After a Fired step, State shows relay and chain species as of the
-//     last settlement, not at Time. Protected species are never relay
-//     species, and a blocked dependent has zero propensity whatever the
-//     relay count, so no exact channel reads the stale counts. Run (and so
+//   - After a Fired step, State shows relay species as of the last
+//     settlement, not at Time. Protected species are never relay species,
+//     and a blocked dependent has zero propensity whatever the relay
+//     count, so no exact channel reads the stale counts. Run (and so
 //     RunThresholdRace) settles before it returns.
 //
 // Step reports only slow/exact firings (the decision events); batched
@@ -74,33 +71,20 @@ type Hybrid struct {
 	state chem.State
 	t     float64
 
-	// Epsilon is the relative propensity-change bound per leap for
-	// generically-leaped channels (default 0.03, as TauLeap).
-	Epsilon float64
-	// LeapFactor is how many times the exact set's total propensity the
-	// fast set must reach before generic leaping engages (default 10);
-	// below it, fast channels are stepped exactly, which is both cheaper
-	// and exact.
-	LeapFactor float64
+	// epsilon is cgpTau's relative propensity-change bound per leap
+	// (defaultEpsilon; in-package tests vary it).
+	epsilon float64
 
 	// Partition data remapped into compiled channel indices.
 	fastEligible   []bool
-	relayProds     [][]int32 // per relay: producer channels
+	relayProds     [][]int32 // per relay: constant-propensity A producers
+	relayBProds    [][]int32 // per relay: constant-propensity direct B producers
 	relayDeps      [][]int32 // per relay: catalytic dependent channels
 	relayActive    []bool
-	relayRate      []float64 // per relay: summed producer propensity λ
+	relayLamA      []float64 // per relay: summed A-producer propensity
+	relayLamB      []float64 // per relay: summed direct-B-producer propensity
 	relayOfChannel []int     // channel → owning relay index, or -1
-	isRelaySpecies []bool    // species owned by a relay or chain propagator
-
-	// Conversion chains (chem.Chain), remapped the same way: a → b → ∅
-	// catenaries advanced with the exact sequential-survival law.
-	chainProds     [][]int32 // per chain: constant-propensity A producers
-	chainBProds    [][]int32 // per chain: constant-propensity direct B producers
-	chainDeps      [][]int32 // per chain: catalytic dependent channels
-	chainActive    []bool
-	chainLamA      []float64 // per chain: summed A-producer propensity
-	chainLamB      []float64 // per chain: summed direct-B-producer propensity
-	chainOfChannel []int     // channel → owning chain index, or -1
+	isRelaySpecies []bool    // species owned by a relay
 
 	// prop is kept current incrementally: state changes record which
 	// propensities they made stale, and refresh/refreshExactOnly recompute
@@ -108,20 +92,20 @@ type Hybrid struct {
 	prop         []float64
 	pendingFull  bool    // every propensity is stale (after an applied leap chunk)
 	pendingFired int     // compiled channel whose dependents are stale, or -1
-	pendingRelay bool    // relay/chain species moved: relayReaders are stale
-	relayReaders []int32 // channels with a reactant owned by a relay or chain
+	pendingRelay bool    // relay species moved: relayReaders are stale
+	relayReaders []int32 // channels with a reactant owned by a relay
 
-	// Channel classes under the current relay/chain activity pattern, each
-	// in ascending compiled order so every sum over them folds in the order
-	// of a full channel scan. Rebuilt only when the pattern changes.
+	// Channel classes under the current relay activity pattern, each in
+	// ascending compiled order so every sum over them folds in the order of
+	// a full channel scan. Rebuilt only when the pattern changes.
 	exactChans  []int32 // not relay-handled, not fast-eligible
 	leapChans   []int32 // not relay-handled, fast-eligible: the leap pool
 	liveChans   []int32 // not relay-handled: exactChans ∪ leapChans
 	leapDemoted bool    // this iteration's leap pool joined the exact race
 
-	// owed is the time the active relays and chains have not yet been
-	// advanced over. Each step adds its elapsed time; settle draws the
-	// transient law once over the whole interval (see settle).
+	// owed is the time the active relays have not yet been advanced over.
+	// Each step adds its elapsed time; settle draws the transient law once
+	// over the whole interval (see settle).
 	owed float64
 
 	counts     []int64
@@ -135,6 +119,15 @@ type Hybrid struct {
 	propEvals      int64
 	propagations   int64
 }
+
+const (
+	// defaultEpsilon is the relative propensity-change bound per leap.
+	defaultEpsilon = 0.03
+	// leapFactor is how many times the exact set's total propensity the
+	// fast set must reach before generic leaping engages; below it, fast
+	// channels are stepped exactly, which is both cheaper and exact.
+	leapFactor = 10
+)
 
 // NewHybrid returns a Hybrid engine over net at the default initial state.
 // protected lists the outcome/threshold species whose distribution must be
@@ -155,8 +148,7 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 		comp:       comp,
 		gen:        gen,
 		part:       chem.NewPartition(net, protected),
-		Epsilon:    0.03,
-		LeapFactor: 10,
+		epsilon:    defaultEpsilon,
 		prop:       make([]float64, comp.NumChannels()),
 		exactChans: make([]int32, 0, comp.NumChannels()),
 		leapChans:  make([]int32, 0, comp.NumChannels()),
@@ -172,60 +164,37 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 	for c := range h.fastEligible {
 		h.fastEligible[c] = h.part.FastEligible[comp.Perm[c]]
 	}
-	h.relayActive = make([]bool, len(h.part.Relays))
-	h.relayRate = make([]float64, len(h.part.Relays))
-	h.relayProds = make([][]int32, len(h.part.Relays))
-	h.relayDeps = make([][]int32, len(h.part.Relays))
+	n := len(h.part.Relays)
+	h.relayActive = make([]bool, n)
+	h.relayLamA = make([]float64, n)
+	h.relayLamB = make([]float64, n)
+	h.relayProds = make([][]int32, n)
+	h.relayBProds = make([][]int32, n)
+	h.relayDeps = make([][]int32, n)
 	h.isRelaySpecies = make([]bool, comp.NumSpecies())
 	h.relayOfChannel = make([]int, comp.NumChannels())
 	for c := range h.relayOfChannel {
 		h.relayOfChannel[c] = -1
 	}
-	for k, r := range h.part.Relays {
-		h.isRelaySpecies[r.Species] = true
-		for _, i := range r.Producers {
-			ch := comp.Channel[i]
-			h.relayOfChannel[ch] = k
-			h.relayProds[k] = append(h.relayProds[k], ch)
+	for k := range h.part.Relays {
+		r := &h.part.Relays[k]
+		h.isRelaySpecies[r.A] = true
+		if r.B >= 0 {
+			h.isRelaySpecies[r.B] = true
 		}
-		for _, i := range r.Sinks {
-			h.relayOfChannel[comp.Channel[i]] = k
+		for _, i := range r.Producers {
+			h.relayProds[k] = append(h.relayProds[k], comp.Channel[i])
+		}
+		for _, i := range r.BProducers {
+			h.relayBProds[k] = append(h.relayBProds[k], comp.Channel[i])
+		}
+		for _, set := range [][]int{r.Producers, r.BProducers, r.Convert, r.ASinks, r.BSinks} {
+			for _, i := range set {
+				h.relayOfChannel[comp.Channel[i]] = k
+			}
 		}
 		for _, i := range r.Dependents {
 			h.relayDeps[k] = append(h.relayDeps[k], comp.Channel[i])
-		}
-	}
-	h.chainActive = make([]bool, len(h.part.Chains))
-	h.chainLamA = make([]float64, len(h.part.Chains))
-	h.chainLamB = make([]float64, len(h.part.Chains))
-	h.chainProds = make([][]int32, len(h.part.Chains))
-	h.chainBProds = make([][]int32, len(h.part.Chains))
-	h.chainDeps = make([][]int32, len(h.part.Chains))
-	h.chainOfChannel = make([]int, comp.NumChannels())
-	for c := range h.chainOfChannel {
-		h.chainOfChannel[c] = -1
-	}
-	for k := range h.part.Chains {
-		cn := &h.part.Chains[k]
-		h.isRelaySpecies[cn.A] = true
-		h.isRelaySpecies[cn.B] = true
-		for _, i := range cn.Producers {
-			ch := comp.Channel[i]
-			h.chainOfChannel[ch] = k
-			h.chainProds[k] = append(h.chainProds[k], ch)
-		}
-		for _, i := range cn.BProducers {
-			ch := comp.Channel[i]
-			h.chainOfChannel[ch] = k
-			h.chainBProds[k] = append(h.chainBProds[k], ch)
-		}
-		for _, set := range [][]int{cn.Convert, cn.ASinks, cn.BSinks} {
-			for _, i := range set {
-				h.chainOfChannel[comp.Channel[i]] = k
-			}
-		}
-		for _, i := range cn.Dependents {
-			h.chainDeps[k] = append(h.chainDeps[k], comp.Channel[i])
 		}
 	}
 	for c := 0; c < comp.NumChannels(); c++ {
@@ -236,7 +205,7 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 			}
 		}
 	}
-	h.buildClasses() // every relay and chain starts inactive
+	h.buildClasses() // every relay starts inactive
 	h.Reset(net.InitialState(), 0)
 	return h
 }
@@ -265,10 +234,10 @@ func (h *Hybrid) FullRecomputes() int64 { return h.fullRecomputes }
 // each). Both counters are exact functions of the seed.
 func (h *Hybrid) PropensityEvals() int64 { return h.propEvals }
 
-// Propagations returns the number of analytic relay/chain settlements
-// since the last Reset: settlements of a positive owed interval while at
-// least one relay or chain was active. Like the other counters it is an
-// exact function of the seed.
+// Propagations returns the number of analytic relay settlements since the
+// last Reset: settlements of a positive owed interval while at least one
+// relay was active. Like the other counters it is an exact function of the
+// seed.
 func (h *Hybrid) Propagations() int64 { return h.propagations }
 
 // Partition exposes the derived channel partition (read-only, in original
@@ -276,7 +245,7 @@ func (h *Hybrid) Propagations() int64 { return h.propagations }
 func (h *Hybrid) Partition() *chem.Partition { return h.part }
 
 // Reset repositions the engine at a copy of state and time t, recomputing
-// every propensity and dropping any owed relay/chain interval.
+// every propensity and dropping any owed relay interval.
 func (h *Hybrid) Reset(state chem.State, t float64) {
 	if len(state) != h.comp.NumSpecies() {
 		panic("sim: state length does not match network species count")
@@ -295,9 +264,9 @@ func (h *Hybrid) Reset(state chem.State, t float64) {
 
 // applyPending brings prop up to date with the state: a full recompute
 // when one is pending, otherwise the dependents of the last exact firing
-// and the readers of relay/chain species. Compiled.Propensity is bit-for-
-// bit PropensitiesInto's per-channel value, so prop always equals what a
-// full recompute would produce.
+// and the readers of relay species. Compiled.Propensity is bit-for-bit
+// PropensitiesInto's per-channel value, so prop always equals what a full
+// recompute would produce.
 //
 //stochlint:noalloc
 func (h *Hybrid) applyPending() {
@@ -328,68 +297,44 @@ func (h *Hybrid) recompute(chans []int32) {
 	h.propEvals += int64(len(chans))
 }
 
-// refresh brings propensities up to date and re-derives relay and chain
-// activity, returning the exact-set and leap-set totals for this
-// iteration. The owed interval ran under the stored activity and rates,
-// so it is settled before the first of them is overwritten.
+// refresh brings propensities up to date and re-derives relay activity,
+// returning the exact-set and leap-set totals for this iteration. The owed
+// interval ran under the stored activity and rates, so it is settled
+// before the first of them is overwritten.
 //
 //stochlint:noalloc
 func (h *Hybrid) refresh() (aExact, aLeap float64) {
 	h.applyPending()
 	// A relay is analytic only while each catalytic dependent is blocked by
 	// a missing non-relay reactant: then the dependent cannot fire no
-	// matter how the relay count evolves, and nothing outside the relay
+	// matter how the relay counts evolve, and nothing outside the relay
 	// reads its species.
 	changed := false
 	for k := range h.part.Relays {
-		r := &h.part.Relays[k]
 		active := true
 		for _, dep := range h.relayDeps[k] {
-			if !h.blockedBesides(int(dep), r.Species) {
-				active = false
-				break
-			}
-		}
-		rate := 0.0
-		if active {
-			for _, pr := range h.relayProds[k] {
-				rate += h.prop[pr]
-			}
-		}
-		if active != h.relayActive[k] || rate != h.relayRate[k] {
-			h.settle()
-			changed = changed || active != h.relayActive[k]
-			h.relayActive[k], h.relayRate[k] = active, rate
-		}
-	}
-	// Chains gate exactly like relays: analytic only while every catalytic
-	// dependent is blocked by a missing non-analytic reactant.
-	for k := range h.part.Chains {
-		cn := &h.part.Chains[k]
-		active := true
-		for _, dep := range h.chainDeps[k] {
-			if !h.blockedBesides(int(dep), cn.A) {
+			if !h.blocked(int(dep)) {
 				active = false
 				break
 			}
 		}
 		lamA, lamB := 0.0, 0.0
 		if active {
-			for _, pr := range h.chainProds[k] {
+			for _, pr := range h.relayProds[k] {
 				lamA += h.prop[pr]
 			}
-			for _, pr := range h.chainBProds[k] {
+			for _, pr := range h.relayBProds[k] {
 				lamB += h.prop[pr]
 			}
 		}
-		if active != h.chainActive[k] || lamA != h.chainLamA[k] || lamB != h.chainLamB[k] {
+		if active != h.relayActive[k] || lamA != h.relayLamA[k] || lamB != h.relayLamB[k] {
 			h.settle()
-			changed = changed || active != h.chainActive[k]
-			h.chainActive[k], h.chainLamA[k], h.chainLamB[k] = active, lamA, lamB
+			changed = changed || active != h.relayActive[k]
+			h.relayActive[k], h.relayLamA[k], h.relayLamB[k] = active, lamA, lamB
 		}
 	}
-	// A settlement moved relay or chain species: bring their readers
-	// current before the class sums read them.
+	// A settlement moved relay species: bring their readers current
+	// before the class sums read them.
 	h.applyPending()
 	if changed {
 		h.buildClasses()
@@ -406,9 +351,9 @@ func (h *Hybrid) refresh() (aExact, aLeap float64) {
 	return aExact, aLeap
 }
 
-// buildClasses partitions the channels not handled by an active relay or
-// chain into the exact and leap classes, in ascending compiled order. The
-// lists reuse their construction-time capacity.
+// buildClasses partitions the channels not handled by an active relay into
+// the exact and leap classes, in ascending compiled order. The lists reuse
+// their construction-time capacity.
 //
 //stochlint:noalloc
 func (h *Hybrid) buildClasses() {
@@ -417,8 +362,8 @@ func (h *Hybrid) buildClasses() {
 	live := h.liveChans[:cap(h.liveChans)]
 	var ne, nl, nv int
 	for c, eligible := range h.fastEligible {
-		if h.relayHandledActive(c) {
-			continue
+		if k := h.relayOfChannel[c]; k >= 0 && h.relayActive[k] {
+			continue // advanced analytically by its relay
 		}
 		live[nv] = int32(c)
 		nv++
@@ -453,28 +398,14 @@ func (h *Hybrid) fire(c int) int {
 	return int(h.comp.Perm[c])
 }
 
-// relayHandledActive reports whether channel c belongs to a currently
-// active relay or conversion chain (and is therefore advanced analytically
-// this iteration).
-func (h *Hybrid) relayHandledActive(c int) bool {
-	if k := h.relayOfChannel[c]; k >= 0 && h.relayActive[k] {
-		return true
-	}
-	if k := h.chainOfChannel[c]; k >= 0 && h.chainActive[k] {
-		return true
-	}
-	return false
-}
-
-// blockedBesides reports whether channel c lacks some reactant other than
-// species s, where the blocker is itself no relay species (a relay count
-// can rise spontaneously during analytic propagation, so it can never be
-// trusted to keep a dependent blocked).
-func (h *Hybrid) blockedBesides(c int, s chem.Species) bool {
+// blocked reports whether channel c lacks some reactant that is no relay
+// species (a relay count can rise spontaneously during analytic
+// propagation, so it can never be trusted to keep a dependent blocked).
+func (h *Hybrid) blocked(c int) bool {
 	comp := h.comp
 	for k := comp.ReactStart[c]; k < comp.ReactStart[c+1]; k++ {
 		sp := comp.ReactSpecies[k]
-		if chem.Species(sp) == s || h.isRelaySpecies[sp] {
+		if h.isRelaySpecies[sp] {
 			continue
 		}
 		if h.state[sp] < comp.ReactCoeff[k] {
@@ -486,8 +417,8 @@ func (h *Hybrid) blockedBesides(c int, s chem.Species) bool {
 
 // Step implements Engine: it advances fast channels (analytically or by
 // leaps) until the next slow/exact firing, which it applies and reports.
-// The elapsed time is owed to the active relays and chains; every return
-// other than Fired settles it.
+// The elapsed time is owed to the active relays; every return other than
+// Fired settles it.
 //
 //stochlint:noalloc
 func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
@@ -510,11 +441,11 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 			return h.clamp(horizon)
 		}
 
-		leaping := aLeap > 0 && aLeap >= h.LeapFactor*aExact && iter < maxIters
+		leaping := aLeap > 0 && aLeap >= leapFactor*aExact && iter < maxIters
 		var tauLeap float64
 		if leaping {
 			tauLeap = h.selectLeapTau(aLeap)
-			if tauLeap*aLeap < h.LeapFactor {
+			if tauLeap*aLeap < leapFactor {
 				leaping = false // too few batched firings to pay for a leap
 			}
 		}
@@ -633,16 +564,71 @@ func (h *Hybrid) pickExact(total float64) int {
 	return last // floating-point slack: last positive channel
 }
 
-// selectLeapTau is the shared Cao–Gillespie–Petzold bound (cgpTau)
-// restricted to the leap set, with relay-handled channels' reactants
-// exempt from the bound (the propagator owns them).
+// selectLeapTau is the Cao–Gillespie–Petzold bound (cgpTau) restricted to
+// the leap set, with relay-handled channels' reactants exempt from the
+// bound (the propagator owns them).
 func (h *Hybrid) selectLeapTau(aLeap float64) float64 {
-	tau := cgpTau(h.comp, h.prop, h.state, h.Epsilon, h.drift, h.sigma2,
+	tau := cgpTau(h.comp, h.prop, h.state, h.epsilon, h.drift, h.sigma2,
 		h.leapChans, h.liveChans)
 	if math.IsInf(tau, 1) {
 		// Leap channels whose products nothing consumes: any τ is safe;
 		// scale to a healthy batch.
-		tau = 4 * h.LeapFactor / aLeap
+		tau = 4 * leapFactor / aLeap
+	}
+	return tau
+}
+
+// cgpTau is the Cao–Gillespie–Petzold step-size control (Cao, Gillespie &
+// Petzold 2006, Eq. 33): τ = min over the reactant species s of every
+// channel in bounds of
+//
+//	max(εx_s, 1) / |Σ_j a_j·d_js|   and   max(εx_s, 1)² / Σ_j a_j·d_js²,
+//
+// with the drift and variance sums running over the channels in contributes
+// with positive propensity, over the compiled kernel's CSR delta and
+// reactant rows. Both lists hold compiled channel indices in ascending
+// order, so the per-species sums fold in channel order. The second bound
+// matters precisely when the first is loose: opposing high-flux channels (a
+// production clock against a decay) cancel to |drift| ≈ 0, but their
+// fluctuations still scatter the species count by √(σ²τ) per leap, which
+// without the variance bound would blow far past the ε target. drift and
+// sigma2 are caller-owned scratch, overwritten here. Returns +Inf when no
+// selected channel constrains τ.
+func cgpTau(comp *chem.Compiled, prop []float64, state chem.State,
+	eps float64, drift, sigma2 []float64, contributes, bounds []int32) float64 {
+	for s := range drift {
+		drift[s] = 0
+		sigma2[s] = 0
+	}
+	for _, c := range contributes {
+		a := prop[c]
+		if a <= 0 {
+			continue
+		}
+		for k := comp.DeltaStart[c]; k < comp.DeltaStart[c+1]; k++ {
+			s := comp.DeltaSpecies[k]
+			fd := float64(comp.DeltaCoeff[k])
+			drift[s] += a * fd
+			sigma2[s] += a * fd * fd
+		}
+	}
+	tau := math.Inf(1)
+	for _, c := range bounds {
+		for k := comp.ReactStart[c]; k < comp.ReactStart[c+1]; k++ {
+			s := comp.ReactSpecies[k]
+			if sigma2[s] == 0 {
+				continue // no selected channel changes s
+			}
+			bound := math.Max(eps*float64(state[s]), 1)
+			if d := math.Abs(drift[s]); d > 0 {
+				if cand := bound / d; cand < tau {
+					tau = cand
+				}
+			}
+			if cand := bound * bound / sigma2[s]; cand < tau {
+				tau = cand
+			}
+		}
 	}
 	return tau
 }
@@ -707,9 +693,9 @@ func (h *Hybrid) exactFallback(horizon float64) (int, StepStatus) {
 	return h.fire(fired), Fired
 }
 
-// clamp advances the clock to horizon, owing the relays and chains the
-// remaining interval, and settles: a Horizon step leaves every species
-// current at the horizon.
+// clamp advances the clock to horizon, owing the relays the remaining
+// interval, and settles: a Horizon step leaves every species current at
+// the horizon.
 //
 //stochlint:noalloc
 func (h *Hybrid) clamp(horizon float64) (int, StepStatus) {
@@ -728,11 +714,11 @@ func (h *Hybrid) halt(status StepStatus) (int, StepStatus) {
 	return -1, status
 }
 
-// settle advances every active relay and chain over the owed interval,
-// under the activity and rates stored for it, and clears the debt. The
-// stored values held for the whole interval, and the immigration-death
-// and catenary transients compose over consecutive intervals
-// (Chapman–Kolmogorov), so one draw has the law of a draw per step.
+// settle advances every active relay over the owed interval, under the
+// activity and rates stored for it, and clears the debt. The stored values
+// held for the whole interval, and the catenary transients compose over
+// consecutive intervals (Chapman–Kolmogorov), so one draw has the law of a
+// draw per step.
 //
 //stochlint:noalloc
 func (h *Hybrid) settle() {
@@ -741,96 +727,78 @@ func (h *Hybrid) settle() {
 		return
 	}
 	h.owed = 0
-	if h.propagateRelays(dt) {
+	if h.propagate(dt) {
 		h.propagations++
 	}
 }
 
-// propagateRelays advances every active relay over dt with the exact
-// immigration-death transient: of x current molecules each survives with
-// probability e^{-μ dt}; births are Poisson(λ dt) and each survives with
-// the uniform-arrival probability (1 - e^{-μ dt})/(μ dt). It then
-// advances the active chains and reports whether any relay or chain was
-// active.
-//
-//stochlint:noalloc
-func (h *Hybrid) propagateRelays(dt float64) (advanced bool) {
-	for k := range h.part.Relays {
-		if !h.relayActive[k] {
-			continue
-		}
-		advanced = true
-		r := &h.part.Relays[k]
-		s := r.Species
-		x := h.state[s]
-		lam := h.relayRate[k]
-		mu := r.SinkRate
-		if x == 0 && lam <= 0 {
-			continue
-		}
-		mdt := mu * dt
-		pSurv := math.Exp(-mdt)
-		var births, s0, sb int64
-		if lam > 0 {
-			births = h.gen.Poisson(lam * dt)
-		}
-		if x > 0 {
-			s0 = h.gen.Binomial(x, pSurv)
-		}
-		if births > 0 {
-			pBar := -math.Expm1(-mdt) / mdt
-			sb = h.gen.Binomial(births, pBar)
-		}
-		deaths := x - s0 + births - sb
-		h.state[s] = s0 + sb
-		h.fastEvents += births + deaths
-		h.pendingRelay = true
-	}
-	return h.propagateChains(dt) || advanced
-}
-
-// propagateChains advances every active conversion chain a → b → ∅ over dt
-// with the exact transient law of the two-stage linear catenary under
-// frozen externals. Per molecule of A at time 0, with total A-exit hazard
-// μa, conversion fraction q = ConvRate/μa, and B-decay hazard μb:
+// propagate advances every active relay over dt with the exact transient
+// law of its linear catenary under frozen externals, and reports whether
+// any relay was active. Per molecule of A at time 0, with total A-exit
+// hazard μa, conversion fraction q = ConvRate/μa, and B-decay hazard μb:
 //
 //	P(still A at dt)    = e^{−μa·dt}
 //	P(alive as B at dt) = q·μa·(e^{−μb·dt} − e^{−μa·dt})/(μa − μb)
 //
 // (the μa ≈ μb limit q·μ·dt·e^{−μ·dt} is substituted when the hazards are
 // within relative 1e-9, where the difference quotient loses precision).
-// The per-molecule trichotomy still-A / alive-as-B / gone is sampled as
-// sequential binomials; Poisson(λ·dt) births of A are thinned by the same
-// probabilities time-averaged over a uniform arrival, births of B by the
-// uniform-arrival survival of the plain relay law. Every draw is exact —
-// the chain extends the relay propagator's no-approximation guarantee to
-// sequential first-order kinetics (pinned by the chain chi-square suite in
-// hybrid_chain_test.go).
+// Stage A draws Poisson(λa·dt) births, Binomial survivors of the standing
+// count, and Binomial survivors of the births at the uniform-arrival
+// probability (1 − e^{−μa·dt})/(μa·dt) — the immigration-death transient.
+// A two-stage relay then splits each group's exits into conversions that
+// are alive as B and molecules that are gone, by the conditional
+// probabilities of the closed form (time-averaged over a uniform arrival
+// for births), and draws B's own survivors and its direct births the way
+// stage A does. Every draw is exact (pinned by the chi-square suites in
+// hybrid_test.go and hybrid_chain_test.go).
 //
-// FastEvents accounting is telemetry, as for relays: births, A exits, and
-// B deaths among unconverted molecules each count one firing; a molecule
-// that converts and then dies within dt is tallied once, not twice. The
-// chain tally therefore depends on how the trajectory is cut into settled
-// intervals, unlike the relay tally. It reports whether any chain was
-// active.
+// FastEvents accounting is telemetry: births of A and B, A exits, and
+// deaths of molecules that were B at the start or born as B each count one
+// firing; a molecule that converts and then dies within dt is tallied once,
+// not twice. A two-stage tally therefore depends on how the trajectory is cut
+// into settled intervals, unlike a one-stage tally.
 //
 //stochlint:noalloc
-func (h *Hybrid) propagateChains(dt float64) (advanced bool) {
-	for k := range h.part.Chains {
-		if !h.chainActive[k] {
+func (h *Hybrid) propagate(dt float64) (advanced bool) {
+	for k := range h.part.Relays {
+		if !h.relayActive[k] {
 			continue
 		}
 		advanced = true
-		cn := &h.part.Chains[k]
-		xa, xb := h.state[cn.A], h.state[cn.B]
-		lamA, lamB := h.chainLamA[k], h.chainLamB[k]
+		r := &h.part.Relays[k]
+		xa, lamA := h.state[r.A], h.relayLamA[k]
+		var xb int64
+		if r.B >= 0 {
+			xb = h.state[r.B]
+		}
+		lamB := h.relayLamB[k]
 		if xa == 0 && xb == 0 && lamA <= 0 && lamB <= 0 {
 			continue
 		}
-		muA, muB := cn.MuA, cn.MuB
-		q := cn.ConvRate / muA
-		adt, bdt := muA*dt, muB*dt
-		eA, eB := math.Exp(-adt), math.Exp(-bdt)
+		adt := r.MuA * dt
+		eA := math.Exp(-adt)
+		pBarA := -math.Expm1(-adt) / adt
+		var nA, sA, sA2 int64
+		if lamA > 0 {
+			nA = h.gen.Poisson(lamA * dt)
+		}
+		if xa > 0 {
+			sA = h.gen.Binomial(xa, eA)
+		}
+		if nA > 0 {
+			sA2 = h.gen.Binomial(nA, pBarA)
+		}
+		h.state[r.A] = sA + sA2
+		h.fastEvents += nA + (xa - sA) + (nA - sA2)
+		h.pendingRelay = true
+		if r.B < 0 {
+			continue
+		}
+
+		muA, muB := r.MuA, r.MuB
+		q := r.ConvRate / muA
+		bdt := muB * dt
+		eB := math.Exp(-bdt)
 		var pAB, pBarAB float64 // alive-as-B: age-0 molecule / uniform arrival
 		if diff := muA - muB; math.Abs(diff) > 1e-9*math.Max(muA, muB) {
 			pAB = q * muA * (eB - eA) / diff
@@ -841,28 +809,16 @@ func (h *Hybrid) propagateChains(dt float64) (advanced bool) {
 			pAB = q * mdt * e
 			pBarAB = q * (1 - e*(1+mdt)) / mdt
 		}
-		pBarA := -math.Expm1(-adt) / adt
 		pBarB := -math.Expm1(-bdt) / bdt
-
-		var sA, cAB, nA, sA2, cAB2, sB, nB, sB2 int64
-		if xa > 0 {
-			sA = h.gen.Binomial(xa, eA)
-			if exits := xa - sA; exits > 0 {
-				if pd := 1 - eA; pd > 0 {
-					sA2conv := math.Min(1, pAB/pd) // conditional on having exited A
-					cAB = h.gen.Binomial(exits, sA2conv)
-				}
+		var cAB, cAB2, sB, nB, sB2 int64
+		if exits := xa - sA; exits > 0 {
+			if pd := 1 - eA; pd > 0 {
+				cAB = h.gen.Binomial(exits, math.Min(1, pAB/pd)) // conditional on having exited A
 			}
 		}
-		if lamA > 0 {
-			nA = h.gen.Poisson(lamA * dt)
-			if nA > 0 {
-				sA2 = h.gen.Binomial(nA, pBarA)
-				if exits := nA - sA2; exits > 0 {
-					if pd := 1 - pBarA; pd > 0 {
-						cAB2 = h.gen.Binomial(exits, math.Min(1, pBarAB/pd))
-					}
-				}
+		if exits := nA - sA2; exits > 0 {
+			if pd := 1 - pBarA; pd > 0 {
+				cAB2 = h.gen.Binomial(exits, math.Min(1, pBarAB/pd))
 			}
 		}
 		if xb > 0 {
@@ -874,10 +830,8 @@ func (h *Hybrid) propagateChains(dt float64) (advanced bool) {
 				sB2 = h.gen.Binomial(nB, pBarB)
 			}
 		}
-		h.state[cn.A] = sA + sA2
-		h.state[cn.B] = sB + cAB + cAB2 + sB2
-		h.pendingRelay = true
-		h.fastEvents += nA + nB + (xa + nA - sA - sA2) + (xb - sB) + (nB - sB2)
+		h.state[r.B] = sB + cAB + cAB2 + sB2
+		h.fastEvents += nB + (xb - sB) + (nB - sB2)
 	}
 	return advanced
 }

@@ -106,8 +106,8 @@ b -> 0 @ 1.2
 			net := chem.MustParseNetwork(tc.src)
 			sa, sb := net.MustSpecies("a"), net.MustSpecies("b")
 			hyb := NewHybrid(net, nil, rng.NewStream(31, 0))
-			if len(hyb.Partition().Chains) != 1 {
-				t.Fatalf("chains = %+v, want one", hyb.Partition().Chains)
+			if rs := hyb.Partition().Relays; len(rs) != 1 || rs[0].B != sb {
+				t.Fatalf("relays = %+v, want one two-stage relay a → b", rs)
 			}
 			binsA := chainBins(tc.meanA, math.Sqrt(tc.meanA))
 			binsB := chainBins(tc.meanB, math.Sqrt(tc.meanB))
@@ -206,8 +206,8 @@ func TestHybridChainMatchesDirectOnRace(t *testing.T) {
 	}
 	hybGen, dirGen := rng.NewStream(11, 0), rng.NewStream(12, 0)
 	hyb := NewHybrid(net, protected, hybGen)
-	if len(hyb.Partition().Chains) != 1 {
-		t.Fatalf("chains = %+v, want one (a → c)", hyb.Partition().Chains)
+	if rs := hyb.Partition().Relays; len(rs) != 1 || rs[0].B != net.MustSpecies("c") {
+		t.Fatalf("relays = %+v, want one two-stage relay (a → c)", rs)
 	}
 	dir := NewDirect(net, dirGen)
 	var dirCounts, hybCounts [2]int64
@@ -266,11 +266,11 @@ c -> 0 @ 1
 2 x + c -> y + c @ 0.5
 `)
 	h := NewHybrid(net, nil, rng.New(97))
-	if len(h.Partition().Chains) != 1 {
-		t.Fatalf("chains = %+v, want one", h.Partition().Chains)
+	if rs := h.Partition().Relays; len(rs) != 1 || rs[0].B != net.MustSpecies("c") {
+		t.Fatalf("relays = %+v, want one two-stage relay (a → c)", rs)
 	}
-	if len(h.Partition().Chains[0].Dependents) != 1 {
-		t.Fatalf("dependents = %v, want the catalytic consumer", h.Partition().Chains[0].Dependents)
+	if len(h.Partition().Relays[0].Dependents) != 1 {
+		t.Fatalf("dependents = %v, want the catalytic consumer", h.Partition().Relays[0].Dependents)
 	}
 	x := net.MustSpecies("x")
 	for i := 0; ; i++ {

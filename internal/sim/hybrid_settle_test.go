@@ -100,7 +100,7 @@ a -> 0 @ %g
 `, a0, k1, k2, lambda, mu))
 	sa := net.MustSpecies("a")
 	p := NewHybrid(net, []chem.Species{net.MustSpecies("on")}, rng.New(1)).Partition()
-	if len(p.Relays) != 1 || p.Relays[0].Species != sa {
+	if len(p.Relays) != 1 || p.Relays[0].A != sa {
 		t.Fatalf("partition = %+v, want one relay on a", p.Relays)
 	}
 	trials := 6000

@@ -35,8 +35,8 @@ type thresholdRacer interface {
 // back to Run (which does advance time); outcome, step count and final
 // state keep the same distribution either way, but randomness consumption
 // differs, so the two paths are not trajectory-for-trajectory identical.
-// The hybrid takes the fallback. Between events it shows relay and chain
-// species as of their last settlement (see Hybrid), which never affects a
+// The hybrid takes the fallback. Between events it shows relay species as
+// of their last settlement (see Hybrid), which never affects a
 // race on protected species — those are never relay species — and Run
 // settles before returning, so the final state is whole.
 func RunThresholdRace(eng Engine, a, b SpeciesThreshold, maxSteps int64) RunResult {

@@ -1,6 +1,6 @@
-// Package sim implements exact stochastic simulation of chemical reaction
-// networks (the "Monte Carlo simulations" of the paper), plus an approximate
-// accelerator.
+// Package sim implements stochastic simulation of chemical reaction
+// networks (the "Monte Carlo simulations" of the paper): four exact engines
+// and a hybrid that is exact on the outcome species.
 //
 // Engines:
 //
@@ -16,9 +16,6 @@
 //     over the channels that decide the observable, analytic relay
 //     propagation and CGP-controlled leaping for the high-throughput rest
 //     (see docs/engines.md for the exactness guarantee).
-//   - TauLeap: explicit tau-leaping — approximate, Poisson-batches many
-//     firings per step; not an Engine (different granularity) but shares the
-//     same stop conditions.
 //
 // All engines are deterministic given a seeded *rng.PCG and are not safe for
 // concurrent use; parallel Monte Carlo creates one engine per worker (see
@@ -141,7 +138,7 @@ type RunResult struct {
 }
 
 // settler is implemented by engines that defer part of their state update
-// between fired events (the hybrid's owed relay and chain interval).
+// between fired events (the hybrid's owed relay interval).
 // settle brings the whole state current at Time().
 type settler interface {
 	settle()
