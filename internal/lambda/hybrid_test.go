@@ -136,23 +136,28 @@ func TestHybridBatchesTheSyntheticHotPath(t *testing.T) {
 // returns, not on every exact step, so a trial makes a handful of
 // propagations over hundreds of steps. Per step only the fired channel's
 // dependency row is re-evaluated; its size depends on the channel, so the
-// evaluation bound holds for the pooled trials, not for each one.
+// evaluation bound holds for the pooled trials, not for each one. Relay
+// activity is re-derived only after Reset and after firings that move a
+// gating input (≈ 0.07 gating scans per exact step), and a leap probe that
+// cannot leap stops at its first failing bound candidate (≈ 0.2
+// candidates per exact step); both bounds are pooled too.
 func TestHybridSyntheticWorkCounters(t *testing.T) {
 	m := SyntheticModel().WithEngine(sim.EngineHybrid)
 	channels := int64(m.Net.NumReactions())
-	var evals, steps int64
+	var evals, scans, bounds, steps int64
 	for _, moi := range []int64{1, 5, 10} {
 		gen := rng.NewStream(41, 0)
 		h := m.EngineFactoryAt(moi)(gen).(*sim.Hybrid)
 		observe := m.Observer(moi)
-		type counters struct{ full, evals, props, steps int64 }
+		type counters struct{ full, evals, props, scans, bounds, steps int64 }
 		trial := func(seed uint64) counters {
 			gen.Reseed(41, seed)
 			o := observe(h)
 			if o.Outcome == mc.None {
 				t.Fatalf("MOI %d seed %d: trial unresolved", moi, seed)
 			}
-			return counters{h.FullRecomputes(), h.PropensityEvals(), h.Propagations(), o.Steps}
+			return counters{h.FullRecomputes(), h.PropensityEvals(), h.Propagations(),
+				h.GatingScans(), h.LeapBoundEvals(), o.Steps}
 		}
 		for seed := uint64(0); seed < 10; seed++ {
 			c := trial(seed)
@@ -164,19 +169,32 @@ func TestHybridSyntheticWorkCounters(t *testing.T) {
 					moi, seed, c.props, c.steps)
 			}
 			evals += c.evals - channels
+			scans += c.scans
+			bounds += c.bounds
 			steps += c.steps
-			t.Logf("MOI %2d seed %d: %3d steps, %d propagations, %.2f evaluations/step",
-				moi, seed, c.steps, c.props, float64(c.evals-channels)/float64(c.steps))
+			t.Logf("MOI %2d seed %d: %3d steps, %d propagations, %.2f evaluations/step, %d gating scans, %d bound candidates",
+				moi, seed, c.steps, c.props, float64(c.evals-channels)/float64(c.steps), c.scans, c.bounds)
 		}
 		if a, b := trial(3), trial(3); a != b {
 			t.Errorf("MOI %d: counters differ at one seed: %+v vs %+v", moi, a, b)
 		}
+		h.Reset(m.Net.InitialState(), 0)
+		if n, b := h.GatingScans(), h.LeapBoundEvals(); n != 0 || b != 0 {
+			t.Errorf("MOI %d: after Reset %d gating scans and %d bound candidates, want 0 and 0", moi, n, b)
+		}
 	}
-	if perStep := float64(evals) / float64(steps); perStep >= 5 {
-		t.Errorf("%.2f single-channel evaluations per exact step over all trials, want < 5", perStep)
-	} else {
-		t.Logf("%.2f single-channel evaluations per exact step over all trials", perStep)
+	perStep := func(n int64) float64 { return float64(n) / float64(steps) }
+	if e := perStep(evals); e >= 5 {
+		t.Errorf("%.2f single-channel evaluations per exact step over all trials, want < 5", e)
 	}
+	if s := perStep(scans); s >= 0.25 {
+		t.Errorf("%.3f gating scans per exact step over all trials, want < 0.25", s)
+	}
+	if b := perStep(bounds); b >= 0.5 {
+		t.Errorf("%.3f leap bound candidates per exact step over all trials, want < 0.5", b)
+	}
+	t.Logf("per exact step over all trials: %.2f evaluations, %.3f gating scans, %.3f bound candidates",
+		perStep(evals), perStep(scans), perStep(bounds))
 }
 
 // TestHybridSyntheticTrialZeroAllocs extends the sim package's Hybrid

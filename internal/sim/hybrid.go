@@ -95,6 +95,15 @@ type Hybrid struct {
 	pendingRelay bool    // relay species moved: relayReaders are stale
 	relayReaders []int32 // channels with a reactant owned by a relay
 
+	// Relay activity and inflow are re-derived only when a gating input may
+	// have moved: a non-relay reactant of a relay dependent, or any reactant
+	// of a relay producer. movesGating marks the channels whose firing
+	// net-changes one; pendingGating is set by such a firing, an applied
+	// leap chunk and Reset. Settlements move only relay species, which no
+	// gating input is.
+	movesGating   []bool
+	pendingGating bool
+
 	// Channel classes under the current relay activity pattern, each in
 	// ascending compiled order so every sum over them folds in the order of
 	// a full channel scan. Rebuilt only when the pattern changes.
@@ -118,6 +127,8 @@ type Hybrid struct {
 	fullRecomputes int64
 	propEvals      int64
 	propagations   int64
+	gatingScans    int64
+	leapBoundEvals int64
 }
 
 const (
@@ -205,6 +216,32 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 			}
 		}
 	}
+	gating := make([]bool, comp.NumSpecies()) // the gating inputs (movesGating)
+	for k := range h.part.Relays {
+		for _, dep := range h.relayDeps[k] {
+			for j := comp.ReactStart[dep]; j < comp.ReactStart[dep+1]; j++ {
+				if sp := comp.ReactSpecies[j]; !h.isRelaySpecies[sp] {
+					gating[sp] = true
+				}
+			}
+		}
+		for _, prods := range [][]int32{h.relayProds[k], h.relayBProds[k]} {
+			for _, pr := range prods {
+				for j := comp.ReactStart[pr]; j < comp.ReactStart[pr+1]; j++ {
+					gating[comp.ReactSpecies[j]] = true
+				}
+			}
+		}
+	}
+	h.movesGating = make([]bool, comp.NumChannels())
+	for c := range h.movesGating {
+		for j := comp.DeltaStart[c]; j < comp.DeltaStart[c+1]; j++ {
+			if gating[comp.DeltaSpecies[j]] {
+				h.movesGating[c] = true
+				break
+			}
+		}
+	}
 	h.buildClasses() // every relay starts inactive
 	h.Reset(net.InitialState(), 0)
 	return h
@@ -240,12 +277,24 @@ func (h *Hybrid) PropensityEvals() int64 { return h.propEvals }
 // seed.
 func (h *Hybrid) Propagations() int64 { return h.propagations }
 
+// GatingScans returns the number of relay activity and inflow
+// re-derivations since the last Reset: one at the first refresh after
+// Reset, after an applied leap chunk, and after an exact firing that moves
+// a gating input.
+func (h *Hybrid) GatingScans() int64 { return h.gatingScans }
+
+// LeapBoundEvals returns the number of cgpTau bound candidates evaluated
+// since the last Reset: one per reactant of a live channel that the leap
+// pool changes, each bounded by its drift and variance terms.
+func (h *Hybrid) LeapBoundEvals() int64 { return h.leapBoundEvals }
+
 // Partition exposes the derived channel partition (read-only, in original
 // reaction indices).
 func (h *Hybrid) Partition() *chem.Partition { return h.part }
 
 // Reset repositions the engine at a copy of state and time t, recomputing
-// every propensity and dropping any owed relay interval.
+// every propensity, dropping any owed relay interval and marking relay
+// activity for re-derivation.
 func (h *Hybrid) Reset(state chem.State, t float64) {
 	if len(state) != h.comp.NumSpecies() {
 		panic("sim: state length does not match network species count")
@@ -258,7 +307,8 @@ func (h *Hybrid) Reset(state chem.State, t float64) {
 	h.owed = 0
 	h.fastEvents = 0
 	h.fullRecomputes, h.propEvals, h.propagations = 0, 0, 0
-	h.pendingFull = true
+	h.gatingScans, h.leapBoundEvals = 0, 0
+	h.pendingFull, h.pendingGating = true, true
 	h.applyPending()
 }
 
@@ -297,14 +347,38 @@ func (h *Hybrid) recompute(chans []int32) {
 	h.propEvals += int64(len(chans))
 }
 
-// refresh brings propensities up to date and re-derives relay activity,
-// returning the exact-set and leap-set totals for this iteration. The owed
-// interval ran under the stored activity and rates, so it is settled
-// before the first of them is overwritten.
+// refresh brings propensities up to date and, when a gating input may have
+// moved (pendingGating), re-derives relay activity, returning the exact-set
+// and leap-set totals for this iteration. Skipping the re-derivation
+// otherwise is bitwise: with its inputs unchanged it would recompute the
+// stored values and settle nothing.
 //
 //stochlint:noalloc
 func (h *Hybrid) refresh() (aExact, aLeap float64) {
 	h.applyPending()
+	if h.pendingGating {
+		h.deriveRelays()
+	}
+	// Fast-eligible channels form the leap pool; whether the pool actually
+	// leaps is decided by the caller from the totals.
+	h.leapDemoted = false
+	for _, c := range h.exactChans {
+		aExact += h.prop[c]
+	}
+	for _, c := range h.leapChans {
+		aLeap += h.prop[c]
+	}
+	return aExact, aLeap
+}
+
+// deriveRelays re-derives every relay's activity and inflow from current
+// propensities. The owed interval ran under the stored activity and rates,
+// so it is settled before the first of them is overwritten.
+//
+//stochlint:noalloc
+func (h *Hybrid) deriveRelays() {
+	h.pendingGating = false
+	h.gatingScans++
 	// A relay is analytic only while each catalytic dependent is blocked by
 	// a missing non-relay reactant: then the dependent cannot fire no
 	// matter how the relay counts evolve, and nothing outside the relay
@@ -339,16 +413,6 @@ func (h *Hybrid) refresh() (aExact, aLeap float64) {
 	if changed {
 		h.buildClasses()
 	}
-	// Fast-eligible channels form the leap pool; whether the pool actually
-	// leaps is decided by the caller from the totals.
-	h.leapDemoted = false
-	for _, c := range h.exactChans {
-		aExact += h.prop[c]
-	}
-	for _, c := range h.leapChans {
-		aLeap += h.prop[c]
-	}
-	return aExact, aLeap
 }
 
 // buildClasses partitions the channels not handled by an active relay into
@@ -388,13 +452,17 @@ func (h *Hybrid) raceChans() []int32 {
 	return h.exactChans
 }
 
-// fire applies compiled channel c, records its dependents as stale, and
-// returns the original reaction index.
+// fire applies compiled channel c, records its dependents as stale (and
+// relay activity, if c moves a gating input), and returns the original
+// reaction index.
 //
 //stochlint:noalloc
 func (h *Hybrid) fire(c int) int {
 	h.comp.Apply(c, h.state)
 	h.pendingFired = c
+	if h.movesGating[c] {
+		h.pendingGating = true
+	}
 	return int(h.comp.Perm[c])
 }
 
@@ -564,12 +632,10 @@ func (h *Hybrid) pickExact(total float64) int {
 	return last // floating-point slack: last positive channel
 }
 
-// selectLeapTau is the Cao–Gillespie–Petzold bound (cgpTau) restricted to
-// the leap set, with relay-handled channels' reactants exempt from the
-// bound (the propagator owns them).
+// selectLeapTau is the Cao–Gillespie–Petzold bound (cgpTau) for a leap
+// pool of total propensity aLeap.
 func (h *Hybrid) selectLeapTau(aLeap float64) float64 {
-	tau := cgpTau(h.comp, h.prop, h.state, h.epsilon, h.drift, h.sigma2,
-		h.leapChans, h.liveChans)
+	tau := h.cgpTau(aLeap)
 	if math.IsInf(tau, 1) {
 		// Leap channels whose products nothing consumes: any τ is safe;
 		// scale to a healthy batch.
@@ -579,28 +645,34 @@ func (h *Hybrid) selectLeapTau(aLeap float64) float64 {
 }
 
 // cgpTau is the Cao–Gillespie–Petzold step-size control (Cao, Gillespie &
-// Petzold 2006, Eq. 33): τ = min over the reactant species s of every
-// channel in bounds of
+// Petzold 2006, Eq. 33): τ = min over the reactant species s of every live
+// channel of
 //
 //	max(εx_s, 1) / |Σ_j a_j·d_js|   and   max(εx_s, 1)² / Σ_j a_j·d_js²,
 //
-// with the drift and variance sums running over the channels in contributes
+// with the drift and variance sums running over the leap pool's channels
 // with positive propensity, over the compiled kernel's CSR delta and
-// reactant rows. Both lists hold compiled channel indices in ascending
-// order, so the per-species sums fold in channel order. The second bound
-// matters precisely when the first is loose: opposing high-flux channels (a
-// production clock against a decay) cancel to |drift| ≈ 0, but their
-// fluctuations still scatter the species count by √(σ²τ) per leap, which
-// without the variance bound would blow far past the ε target. drift and
-// sigma2 are caller-owned scratch, overwritten here. Returns +Inf when no
-// selected channel constrains τ.
-func cgpTau(comp *chem.Compiled, prop []float64, state chem.State,
-	eps float64, drift, sigma2 []float64, contributes, bounds []int32) float64 {
+// reactant rows. Relay-handled channels' reactants are exempt (the
+// propagator owns them). Both lists are ascending, so the per-species sums
+// fold in channel order. The second bound matters precisely when the first
+// is loose: opposing high-flux channels (a production clock against a
+// decay) cancel to |drift| ≈ 0, but their fluctuations still scatter the
+// species count by √(σ²τ) per leap, which without the variance bound would
+// blow far past the ε target. Returns +Inf when no live channel constrains
+// τ.
+//
+// The caller leaps only if τ·aLeap ≥ leapFactor. The running minimum only
+// falls and multiplying by aLeap > 0 is monotone, so cgpTau returns as soon
+// as the minimum fails that test, evaluated as the same float expression:
+// the decision is unchanged and the partial τ is never used. Whenever the
+// pool leaps, τ is the full minimum; aLeap = +Inf never stops early.
+func (h *Hybrid) cgpTau(aLeap float64) float64 {
+	comp, prop, drift, sigma2 := h.comp, h.prop, h.drift, h.sigma2
 	for s := range drift {
 		drift[s] = 0
 		sigma2[s] = 0
 	}
-	for _, c := range contributes {
+	for _, c := range h.leapChans {
 		a := prop[c]
 		if a <= 0 {
 			continue
@@ -613,13 +685,14 @@ func cgpTau(comp *chem.Compiled, prop []float64, state chem.State,
 		}
 	}
 	tau := math.Inf(1)
-	for _, c := range bounds {
+	for _, c := range h.liveChans {
 		for k := comp.ReactStart[c]; k < comp.ReactStart[c+1]; k++ {
 			s := comp.ReactSpecies[k]
 			if sigma2[s] == 0 {
-				continue // no selected channel changes s
+				continue // no leap channel changes s
 			}
-			bound := math.Max(eps*float64(state[s]), 1)
+			h.leapBoundEvals++
+			bound := math.Max(h.epsilon*float64(h.state[s]), 1)
 			if d := math.Abs(drift[s]); d > 0 {
 				if cand := bound / d; cand < tau {
 					tau = cand
@@ -627,6 +700,9 @@ func cgpTau(comp *chem.Compiled, prop []float64, state chem.State,
 			}
 			if cand := bound * bound / sigma2[s]; cand < tau {
 				tau = cand
+			}
+			if tau*aLeap < leapFactor {
+				return tau // too short to leap, and it can only shrink
 			}
 		}
 	}
@@ -638,7 +714,7 @@ func cgpTau(comp *chem.Compiled, prop []float64, state chem.State,
 // chunk length actually applied (possibly smaller than requested; the
 // caller books time and slow budget for the applied length and retries the
 // remainder at fresh propensities) and whether any application succeeded.
-// An applied chunk marks every propensity stale.
+// An applied chunk marks every propensity, and relay activity, stale.
 func (h *Hybrid) fireLeaps(tau float64) (applied float64, ok bool) {
 	comp := h.comp
 	for attempt := 0; attempt < 30; attempt++ {
@@ -664,7 +740,7 @@ func (h *Hybrid) fireLeaps(tau float64) (applied float64, ok bool) {
 		if h.next.NonNegative() {
 			copy(h.state, h.next)
 			h.fastEvents += n
-			h.pendingFull = true
+			h.pendingFull, h.pendingGating = true, true
 			return tau, true
 		}
 		tau /= 2

@@ -64,7 +64,8 @@ func hybridDigest(c digestCase, trials int) uint64 {
 // digestCases covers every hybrid code path the paper's workloads reach:
 // relay propagation on the synthetic lambda model (MOI 1–10), the
 // relay-free Figure 3 module over its γ grid, the five scenario networks,
-// a conversion-chain race, the generic leap path, and horizon clamps.
+// a conversion-chain race, the generic leap path, leap chunks that gate a
+// relay, and horizon clamps.
 func digestCases(t *testing.T) []digestCase {
 	t.Helper()
 	var cases []digestCase
@@ -187,6 +188,24 @@ x -> y @ 1
 y -> x @ 1
 s -> t @ 0.05
 `, []string{"t"}, 300, 20},
+		// Leap chunks gating a relay: x -> x + g rides the leaping x ⇌ y
+		// pool and feeds g, the non-relay reactant of the relay's dependent
+		// a + g -> a + h (h is unprotected, so g is not guarded and its
+		// feed stays fast-eligible). The relay turns off when a chunk
+		// makes g positive and back on when one drains it.
+		{"leap-gated", `
+x = 10000
+y = 10000
+b = 1
+s = 50
+x -> y @ 1
+y -> x @ 1
+x -> x + g @ 0.0001
+b -> b + a @ 2
+a -> 0 @ 1
+a + g -> a + h @ 0.5
+s -> t @ 0.05
+`, []string{"t"}, 300, 20},
 	} {
 		net := chem.MustParseNetwork(tc.src)
 		var protected []chem.Species
@@ -226,7 +245,10 @@ s -> t @ 0.05
 // chain at the horizon with molecules of a standing and inflow on, so its
 // draws come in the new order; chain-race never settles within its 40
 // steps, and every other case has only one-stage relays, so their streams
-// are unchanged.
+// are unchanged. The leap-gated (26) digests were recorded before cgpTau
+// learned to stop at its first candidate that rules out a leap and before
+// relay activity was re-derived only after a firing or leap chunk that can
+// move its inputs; both rules left all 27 digests unchanged.
 func TestHybridTrajectoryDigest(t *testing.T) {
 	trials := 4
 	if testing.Short() {
@@ -240,7 +262,7 @@ func TestHybridTrajectoryDigest(t *testing.T) {
 			0x206f7e83aa2787e5, 0xc099d8e9fe16ec08, 0x80db50a0b888fa2f, 0x817b581af29309bf,
 			0x7ccc38cd6d04d80a, 0xb5437addd6a34f90, 0x99f3cf074daa5b2f, 0x6cc36ad58ea75073,
 			0x591b7b1dbeedf1fe, 0xa0c1a33928795922, 0x73e4d42d860d35fa, 0xf3f8cf0fd83d874e,
-			0x4e1052bb968e7e1f, 0x63af8799eb1e6985,
+			0x4e1052bb968e7e1f, 0x63af8799eb1e6985, 0x1661ca1338184bf4,
 		},
 		4: {
 			0x4c16b4b8ce056459, 0x95d97927a2d44fbe, 0xf50d325336678e42, 0xfbe154319636e9b3,
@@ -249,7 +271,7 @@ func TestHybridTrajectoryDigest(t *testing.T) {
 			0x2151ed947974857a, 0xd7d8865bfad8e947, 0x68ce00615bdd6929, 0x0ef0ef9934db82ef,
 			0x5b6c2fb672a70a8e, 0xb02e66efcebdf88e, 0x6712a1ae1fef6a2c, 0xc69a54ec855a5687,
 			0x05ded7b9805cd8d8, 0xcd9ed2dfed47e036, 0x00cc15e6ee2f1c4e, 0x2fc5e5cc528f41f2,
-			0x1ad1c3ff9e38602b, 0x5a6aee20084e40ed,
+			0x1ad1c3ff9e38602b, 0x5a6aee20084e40ed, 0x6b96b4489fd8a8c9,
 		},
 	}[trials]
 	cases := digestCases(t)

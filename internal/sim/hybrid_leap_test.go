@@ -163,7 +163,8 @@ y -> x @ 1
 // the balanced state x = y = 10 000: the drift of both species is exactly
 // zero, so only the variance term bounds the leap, at
 // τ = (εx)²/σ² = 300²/20 000 = 4.5 for ε = 0.03. Without the variance term
-// nothing constrains τ and cgpTau returns +Inf.
+// nothing constrains τ and cgpTau returns +Inf. aLeap = +Inf asks for the
+// full minimum.
 func TestCGPTauVarianceTermAtBalance(t *testing.T) {
 	net := chem.MustParseNetwork(`
 x = 10000
@@ -175,9 +176,81 @@ y -> x @ 1
 	if len(h.leapChans) != 2 {
 		t.Fatalf("leap pool = %v, want both channels", h.leapChans)
 	}
-	tau := cgpTau(h.comp, h.prop, h.state, h.epsilon, h.drift, h.sigma2, h.leapChans, h.liveChans)
+	tau := h.cgpTau(math.Inf(1))
 	if tau != 4.5 {
 		t.Fatalf("cgpTau at balance = %v, want exactly 4.5 (variance bound, zero drift)", tau)
+	}
+}
+
+// TestCGPTauEarlyExitKeepsTheLeapDecision sweeps the states of two leap
+// pools, the leap-mixed digest network (x ⇌ y racing a slow protected
+// s → t) and the bare x ⇌ y, and checks cgpTau's early exit against the
+// full minimum (aLeap = +Inf): the same leap decision τ·aLeap ≥ leapFactor
+// at every state, and the same τ bits wherever the pool leaps. The sweep
+// must reach both decisions and stop early somewhere.
+func TestCGPTauEarlyExitKeepsTheLeapDecision(t *testing.T) {
+	counts := []int64{0, 1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10000, 20000}
+	for _, tc := range []struct {
+		name, src string
+		protect   []string
+	}{
+		{"leap-mixed", `
+x = 10000
+y = 10000
+s = 50
+x -> y @ 1
+y -> x @ 1
+s -> t @ 0.05
+`, []string{"t"}},
+		{"isomerisation", `
+x = 10000
+y = 10000
+x -> y @ 1
+y -> x @ 1
+`, nil},
+	} {
+		net := chem.MustParseNetwork(tc.src)
+		var protected []chem.Species
+		for _, name := range tc.protect {
+			protected = append(protected, net.MustSpecies(name))
+		}
+		h := NewHybrid(net, protected, rng.New(1))
+		x, y := net.MustSpecies("x"), net.MustSpecies("y")
+		var leaps, holds, stops int
+		for _, nx := range counts {
+			for _, ny := range counts {
+				st := net.InitialState()
+				st[x], st[y] = nx, ny
+				h.Reset(st, 0)
+				_, aLeap := h.refresh()
+				if aLeap <= 0 {
+					continue
+				}
+				full := h.cgpTau(math.Inf(1))
+				fullEvals := h.LeapBoundEvals()
+				early := h.cgpTau(aLeap)
+				earlyEvals := h.LeapBoundEvals() - fullEvals
+				leapFull, leapEarly := !(full*aLeap < leapFactor), !(early*aLeap < leapFactor)
+				switch {
+				case leapFull != leapEarly:
+					t.Errorf("%s x=%d y=%d: early exit leaps=%v (τ=%v), full minimum leaps=%v (τ=%v)",
+						tc.name, nx, ny, leapEarly, early, leapFull, full)
+				case leapFull && math.Float64bits(early) != math.Float64bits(full):
+					t.Errorf("%s x=%d y=%d: leaping τ=%v, full minimum %v", tc.name, nx, ny, early, full)
+				case leapFull:
+					leaps++
+				default:
+					holds++
+				}
+				if earlyEvals < fullEvals {
+					stops++
+				}
+			}
+		}
+		t.Logf("%s: %d leaping states, %d holding, %d early exits", tc.name, leaps, holds, stops)
+		if leaps == 0 || holds == 0 || stops == 0 {
+			t.Errorf("%s: sweep must leap, hold and stop early: %d, %d, %d", tc.name, leaps, holds, stops)
+		}
 	}
 }
 
