@@ -526,13 +526,13 @@ func TestRelayChainFixtureShapes(t *testing.T) {
 		}
 	}
 	x, z := net.MustSpecies("x"), net.MustSpecies("z")
+	ths := []sim.SpeciesThreshold{{Species: o1, Count: 6}, {Species: o2, Count: 6}}
 	const trials = 50
 	blocked := 0
 	for i := 0; i < trials; i++ {
 		gen.Reseed(7, uint64(i))
 		h.Reset(net.InitialState(), 0)
-		res := sim.RunThresholdRace(h, sim.SpeciesThreshold{Species: o1, Count: 6},
-			sim.SpeciesThreshold{Species: o2, Count: 6}, 1_000_000)
+		res := sim.RunThresholdRace(h, ths, 1_000_000)
 		if res.Reason != sim.StopPredicate {
 			t.Fatalf("trial %d: race ended with %v", i, res.Reason)
 		}

@@ -208,11 +208,13 @@ func (m *Model) racer(moi int64) func(eng sim.Engine) (outcome int, steps int64)
 	if maxSteps == 0 {
 		maxSteps = 5_000_000
 	}
-	lysis := sim.SpeciesThreshold{Species: m.Cro2, Count: m.Thresholds.Cro2}
-	lysogeny := sim.SpeciesThreshold{Species: m.CI2, Count: m.Thresholds.CI2}
+	ths := []sim.SpeciesThreshold{
+		{Species: m.Cro2, Count: m.Thresholds.Cro2}, // lysis
+		{Species: m.CI2, Count: m.Thresholds.CI2},   // lysogeny
+	}
 	return func(eng sim.Engine) (int, int64) {
 		eng.Reset(st0, 0)
-		res := sim.RunThresholdRace(eng, lysis, lysogeny, maxSteps)
+		res := sim.RunThresholdRace(eng, ths, maxSteps)
 		if res.Reason != sim.StopPredicate {
 			return mc.None, res.Steps
 		}

@@ -305,9 +305,10 @@ type networkObservable struct {
 	comp     *chem.Compiled
 	st0      chem.State
 	kind     sim.EngineKind
-	a, b     sim.SpeciesThreshold
+	ths      []sim.SpeciesThreshold // race: A's, then B's; endpoint: none
+	spA, spB chem.Species
 	endpoint bool
-	split    int64        // endpoint classification threshold on a.Species
+	split    int64        // endpoint classification threshold on spA
 	value    chem.Species // species observed; chem.Species(-1) = margin A−B
 	maxSteps int64
 	protect  []chem.Species
@@ -357,21 +358,20 @@ func compileObservable(net *chem.Network, ns *NetworkSpec, param float64) (*netw
 	if no.maxSteps == 0 {
 		no.maxSteps = DefaultNetworkSteps
 	}
-	spA := mod.MustSpecies(o.SpeciesA)
-	no.protect = append(no.protect, spA)
+	no.spA = mod.MustSpecies(o.SpeciesA)
+	no.protect = append(no.protect, no.spA)
 	if no.endpoint {
-		// Unreachable race thresholds: the fused race loop runs to the
-		// step bound (or quiescence) and the final state is classified.
+		// No race thresholds: the fused race loop runs to the step bound
+		// (or quiescence) and the final state is classified.
 		no.split = o.CountA
-		no.a = sim.SpeciesThreshold{Species: spA, Count: math.MaxInt64}
-		no.b = sim.SpeciesThreshold{Species: spA, Count: math.MaxInt64}
-		no.value = spA
+		no.value = no.spA
 	} else {
-		spB := mod.MustSpecies(o.SpeciesB)
-		no.a = sim.SpeciesThreshold{Species: spA, Count: o.CountA}
-		no.b = sim.SpeciesThreshold{Species: spB, Count: o.CountB}
-		no.protect = append(no.protect, spB)
-		no.value = chem.Species(-1)
+		no.spB = mod.MustSpecies(o.SpeciesB)
+		no.ths = []sim.SpeciesThreshold{
+			{Species: no.spA, Count: o.CountA},
+			{Species: no.spB, Count: o.CountB},
+		}
+		no.protect = append(no.protect, no.spB)
 	}
 	if o.Value != "" {
 		no.value = mod.MustSpecies(o.Value)
@@ -389,13 +389,13 @@ func (no *networkObservable) newEngine(gen *rng.PCG) any {
 func (no *networkObservable) observe(eng any) mc.Obs {
 	e := eng.(sim.Engine)
 	e.Reset(no.st0, 0)
-	res := sim.RunThresholdRace(e, no.a, no.b, no.maxSteps)
+	res := sim.RunThresholdRace(e, no.ths, no.maxSteps)
 	st := e.State()
 	obs := mc.Obs{Outcome: mc.None, Steps: res.Steps}
 	if no.endpoint {
-		// The race thresholds are unreachable, so any stop reason is the
-		// trial's endpoint; classify the final state by the split.
-		if st[no.a.Species] >= no.split {
+		// With no thresholds any stop reason is the trial's endpoint;
+		// classify the final state by the split.
+		if st[no.spA] >= no.split {
 			obs.Outcome = 0
 		} else {
 			obs.Outcome = 1
@@ -403,7 +403,7 @@ func (no *networkObservable) observe(eng any) mc.Obs {
 	} else if res.Reason == sim.StopPredicate {
 		// Exactly one threshold fires per fused-race step; A is checked
 		// first on ties, matching the engine's own race loops.
-		if st[no.a.Species] >= no.a.Count {
+		if st[no.spA] >= no.ths[0].Count {
 			obs.Outcome = 0
 		} else {
 			obs.Outcome = 1
@@ -412,7 +412,7 @@ func (no *networkObservable) observe(eng any) mc.Obs {
 	if no.value >= 0 {
 		obs.IValue = st[no.value]
 	} else {
-		obs.IValue = st[no.a.Species] - st[no.b.Species]
+		obs.IValue = st[no.spA] - st[no.spB]
 	}
 	obs.Value = float64(obs.IValue)
 	return obs

@@ -68,18 +68,20 @@ func TestOptimizedDirectStepZeroAllocs(t *testing.T) {
 // path must be allocation-free end to end.
 func TestThresholdRaceZeroAllocs(t *testing.T) {
 	net := allocPinNet()
-	a := SpeciesThreshold{Species: net.MustSpecies("c"), Count: 5}
-	b := SpeciesThreshold{Species: net.MustSpecies("b"), Count: 1 << 40} // unreachable
+	ths := []SpeciesThreshold{
+		{Species: net.MustSpecies("c"), Count: 5},
+		{Species: net.MustSpecies("b"), Count: 1 << 40}, // unreachable
+	}
 	st0 := net.InitialState()
 	for name, eng := range map[string]Engine{
 		"direct":    NewDirect(net, rng.New(13)),
 		"optimized": NewOptimizedDirect(net, rng.New(17)),
 	} {
 		eng.Reset(st0, 0)
-		RunThresholdRace(eng, a, b, 1000)
+		RunThresholdRace(eng, ths, 1000)
 		allocs := testing.AllocsPerRun(100, func() {
 			eng.Reset(st0, 0)
-			RunThresholdRace(eng, a, b, 1000)
+			RunThresholdRace(eng, ths, 1000)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s RunThresholdRace allocates %.1f times per trial, want 0", name, allocs)

@@ -4,22 +4,49 @@ import (
 	"stochsynth/internal/chem"
 )
 
-// SpeciesThreshold is one outcome threshold of a two-way race: reached when
-// the count of Species is at least Count.
+// SpeciesThreshold is one outcome threshold of a race: reached when the
+// count of Species is at least Count.
 type SpeciesThreshold struct {
 	Species chem.Species
 	Count   int64
 }
 
-// thresholdRacer is implemented by engines with an internal fused loop for
-// racing two species thresholds on the embedded jump chain.
-type thresholdRacer interface {
-	raceThresholds(a, b SpeciesThreshold, maxSteps int64) RunResult
+// reached reports whether st meets any threshold of ths (none for an
+// empty list).
+func reached(st chem.State, ths []SpeciesThreshold) bool {
+	for _, th := range ths {
+		if st[th.Species] >= th.Count {
+			return true
+		}
+	}
+	return false
 }
 
-// RunThresholdRace drives eng until the count of a.Species reaches a.Count,
-// the count of b.Species reaches b.Count, the engine goes quiescent, or
-// maxSteps events fire (0 means no step bound).
+// localThresholds copies ths into buf, in the racing goroutine's stack,
+// and returns the copy; a list longer than buf is returned as is. Monte
+// Carlo workers share one list, and a small list can share a cache line
+// with another worker's per-event state (a two-threshold list and a
+// generator are both 32-byte objects): reading the list every event from
+// that line would bounce it between cores.
+func localThresholds(buf *[8]SpeciesThreshold, ths []SpeciesThreshold) []SpeciesThreshold {
+	if len(ths) > len(buf) {
+		return ths
+	}
+	return buf[:copy(buf[:], ths)]
+}
+
+// thresholdRacer is implemented by engines with an internal fused loop for
+// racing species thresholds on the embedded jump chain.
+type thresholdRacer interface {
+	raceThresholds(ths []SpeciesThreshold, maxSteps int64) RunResult
+}
+
+// RunThresholdRace drives eng until the count of some ths[i].Species
+// reaches ths[i].Count, the engine goes quiescent, or maxSteps events fire
+// (0 means no step bound). The list is checked before the first event and
+// after every event; an empty list never stops the race, so the engine
+// runs to the step bound or quiescence. ths is only read, so one list can
+// be shared by every Monte Carlo worker.
 //
 // The race is computed on the *embedded jump chain*: the winner of a
 // threshold race, the event count, and quiescence are functions of the
@@ -30,6 +57,10 @@ type thresholdRacer interface {
 // state) and is worth ~35% of trial throughput on the lambda outcome
 // races, the package's hottest Monte Carlo path.
 //
+// The fused loops carry nothing across calls but the engine itself, so a
+// race split into consecutive calls of 1 and n−1 steps draws exactly what
+// one n-step call draws.
+//
 // Time() consequently does not advance over a fused race — callers must
 // not derive timing statistics from it. Engines without a fused loop fall
 // back to Run (which does advance time); outcome, step count and final
@@ -39,15 +70,15 @@ type thresholdRacer interface {
 // of their last settlement (see Hybrid), which never affects a
 // race on protected species — those are never relay species — and Run
 // settles before returning, so the final state is whole.
-func RunThresholdRace(eng Engine, a, b SpeciesThreshold, maxSteps int64) RunResult {
+func RunThresholdRace(eng Engine, ths []SpeciesThreshold, maxSteps int64) RunResult {
 	if r, ok := eng.(thresholdRacer); ok {
-		return r.raceThresholds(a, b, maxSteps)
+		return r.raceThresholds(ths, maxSteps)
 	}
+	var buf [8]SpeciesThreshold
+	local := localThresholds(&buf, ths)
 	return Run(eng, RunOptions{
 		MaxSteps: maxSteps,
-		StopWhen: func(st chem.State, _ float64) bool {
-			return st[a.Species] >= a.Count || st[b.Species] >= b.Count
-		},
+		StopWhen: func(st chem.State, _ float64) bool { return reached(st, local) },
 	})
 }
 
@@ -58,9 +89,11 @@ func RunThresholdRace(eng Engine, a, b SpeciesThreshold, maxSteps int64) RunResu
 // first event, step bound checked before each event, predicate after each.
 //
 //stochlint:noalloc
-func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) RunResult {
+func (o *OptimizedDirect) raceThresholds(ths []SpeciesThreshold, maxSteps int64) RunResult {
+	var buf [8]SpeciesThreshold
+	ths = localThresholds(&buf, ths)
 	st := o.state
-	if st[a.Species] >= a.Count || st[b.Species] >= b.Count {
+	if reached(st, ths) {
 		return RunResult{Steps: 0, Time: o.t, Reason: StopPredicate}
 	}
 	comp := o.comp
@@ -155,7 +188,7 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 			total, stale = o.total, 0
 		}
 		steps++
-		if st[a.Species] >= a.Count || st[b.Species] >= b.Count {
+		if reached(st, ths) {
 			return sync(steps, StopPredicate)
 		}
 	}
@@ -165,9 +198,11 @@ func (o *OptimizedDirect) raceThresholds(a, b SpeciesThreshold, maxSteps int64) 
 // event, jump-chain selection, no waiting-time draw.
 //
 //stochlint:noalloc
-func (d *Direct) raceThresholds(a, b SpeciesThreshold, maxSteps int64) RunResult {
+func (d *Direct) raceThresholds(ths []SpeciesThreshold, maxSteps int64) RunResult {
+	var buf [8]SpeciesThreshold
+	ths = localThresholds(&buf, ths)
 	st := d.state
-	if st[a.Species] >= a.Count || st[b.Species] >= b.Count {
+	if reached(st, ths) {
 		return RunResult{Steps: 0, Time: d.t, Reason: StopPredicate}
 	}
 	comp := d.comp
@@ -214,7 +249,7 @@ func (d *Direct) raceThresholds(a, b SpeciesThreshold, maxSteps int64) RunResult
 		}
 		comp.Apply(fired, st)
 		steps++
-		if st[a.Species] >= a.Count || st[b.Species] >= b.Count {
+		if reached(st, ths) {
 			return RunResult{Steps: steps, Time: d.t, Reason: StopPredicate}
 		}
 	}

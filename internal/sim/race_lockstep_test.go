@@ -33,9 +33,11 @@ x + y -> 2 y @ 0.2
 	for ni, net := range nets {
 		for seed := uint64(1); seed <= 20; seed++ {
 			o := NewOptimizedDirect(net, rng.New(seed))
-			a := SpeciesThreshold{Species: 0, Count: 1 << 40} // unreachable
-			b := SpeciesThreshold{Species: chem.Species(net.NumSpecies() - 1), Count: 1 << 40}
-			res := o.raceThresholds(a, b, 500)
+			ths := []SpeciesThreshold{ // unreachable
+				{Species: 0, Count: 1 << 40},
+				{Species: chem.Species(net.NumSpecies() - 1), Count: 1 << 40},
+			}
+			res := o.raceThresholds(ths, 500)
 			if res.Steps == 0 {
 				t.Fatalf("net %d seed %d: race fired no events", ni, seed)
 			}

@@ -41,25 +41,45 @@ func RunRace(mod *StochasticModule, threshold, maxSteps int64, gen *rng.PCG) Rac
 // RunRaceWith is RunRace on a caller-supplied engine, which it Resets to
 // the module's initial state as of Build: the engine-reuse form for
 // mc.RunWith worker loops.
+//
+// The race runs one step, then the rest (maxSteps−1 steps; none left when
+// maxSteps is 1, no bound when it is 0). Every catalyst starts at zero
+// (Build checks it) and every reaction but the initializing ones consumes
+// a catalyst, so the first event is an initializing firing, and its
+// outcome is the one whose catalyst is present after it: no per-event
+// observer is needed. When every outcome has one output, both legs race
+// one species threshold per outcome through sim.RunThresholdRace, the
+// fused jump-chain loop on Direct and OptimizedDirect, which draws no
+// holding times and, split 1 + (n−1), draws exactly what one n-step race
+// draws. A module with a multi-output outcome races the output sums
+// through sim.Run and ThresholdPredicate.
 func RunRaceWith(mod *StochasticModule, eng sim.Engine, threshold, maxSteps int64) RaceResult {
 	eng.Reset(mod.initial, 0)
+	ths := mod.raceThresholds(threshold)
+	res := mod.race(eng, ths, threshold, 1)
 	first := -1
-	res := sim.Run(eng, sim.RunOptions{
-		MaxSteps: maxSteps,
-		StopWhen: mod.ThresholdPredicate(threshold),
-		OnEvent: func(reaction int, _ chem.State, _ float64) {
-			if first < 0 {
-				if o := mod.InitializingOutcome(reaction); o >= 0 {
-					first = o
-				}
-			}
-		},
-	})
+	if res.Steps == 1 {
+		first = mod.catalystOutcome(eng.State())
+	}
+	if res.Reason == sim.StopSteps && maxSteps != 1 {
+		rest := mod.race(eng, ths, threshold, max(maxSteps-1, 0))
+		res.Steps += rest.Steps
+		res.Reason = rest.Reason
+	}
 	winner := -1
 	if res.Reason == sim.StopPredicate {
 		winner = mod.Winner(eng.State(), threshold)
 	}
 	return RaceResult{FirstInit: first, Winner: winner, Steps: res.Steps}
+}
+
+// race runs one leg of RunRaceWith: at most maxSteps events (0 means no
+// bound) on the race list ths, or on the output sums when ths is nil.
+func (m *StochasticModule) race(eng sim.Engine, ths []sim.SpeciesThreshold, threshold, maxSteps int64) sim.RunResult {
+	if ths == nil {
+		return sim.Run(eng, sim.RunOptions{MaxSteps: maxSteps, StopWhen: m.ThresholdPredicate(threshold)})
+	}
+	return sim.RunThresholdRace(eng, ths, maxSteps)
 }
 
 // Figure3Spec returns the module specification of the paper's Figure 3

@@ -1,11 +1,50 @@
 package synth
 
 import (
+	"math"
+	"strings"
 	"testing"
 
+	"stochsynth/internal/chem"
+	"stochsynth/internal/mc"
 	"stochsynth/internal/rng"
 	"stochsynth/internal/sim"
 )
+
+// stepwiseRace is the reference race RunRaceWith is checked against: every
+// event through sim.Run, which draws a holding time per event on every
+// engine, stopped by ThresholdPredicate, with an OnEvent observer that
+// records the first initializing firing.
+func stepwiseRace(mod *StochasticModule, eng sim.Engine, threshold, maxSteps int64) RaceResult {
+	eng.Reset(mod.initial, 0)
+	first := -1
+	res := sim.Run(eng, sim.RunOptions{
+		MaxSteps: maxSteps,
+		StopWhen: mod.ThresholdPredicate(threshold),
+		OnEvent: func(reaction int, _ chem.State, _ float64) {
+			if first < 0 {
+				first = mod.InitializingOutcome(reaction)
+			}
+		},
+	})
+	winner := -1
+	if res.Reason == sim.StopPredicate {
+		winner = mod.Winner(eng.State(), threshold)
+	}
+	return RaceResult{FirstInit: first, Winner: winner, Steps: res.Steps}
+}
+
+// stepwiseObserver is Figure3Observer over stepwiseRace.
+func stepwiseObserver(mod *StochasticModule) func(eng sim.Engine) mc.Obs {
+	return func(eng sim.Engine) mc.Obs {
+		r := stepwiseRace(mod, eng, Figure3Threshold, Figure3MaxSteps)
+		outcome := 0
+		if r.Error() {
+			outcome = 1
+		}
+		return mc.Obs{Value: float64(r.Steps), IValue: r.Steps, Outcome: outcome, Steps: r.Steps}
+	}
+}
 
 func TestRunRaceRecordsFirstInitializer(t *testing.T) {
 	mod, err := Figure3Spec(1000).Build()
@@ -125,8 +164,12 @@ func TestFigure3HybridMatchesDirect(t *testing.T) {
 // TestFigure3HybridBitwiseWhenNotLeaping: on the Figure 3 module the
 // partition finds no relay and never engages leaping, so the hybrid
 // consumes randomness exactly like Direct (one Exp, one uniform per event)
-// and must reproduce Direct's trial outcomes bit for bit on the same seed
-// stream — the strongest possible form of "does no harm".
+// and must reproduce Direct's stepwise trial outcomes bit for bit on the
+// same seed stream — the strongest possible form of "does no harm". Both
+// engines run stepwiseRace, since Direct's own RunRaceWith races the jump
+// chain. The hybrid's RunRaceWith, the race behind Figure3Classifier and
+// the synth/fig3-*-hybrid sweeps, must match that stepwise race trial for
+// trial: splitting off the first step changes none of its draws.
 func TestFigure3HybridBitwiseWhenNotLeaping(t *testing.T) {
 	mod, err := Figure3Spec(100).Build()
 	if err != nil {
@@ -143,14 +186,163 @@ func TestFigure3HybridBitwiseWhenNotLeaping(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		dirGen.Reseed(seed, uint64(i))
 		hybGen.Reseed(seed, uint64(i))
-		d := classify(dir)
-		h := classify(hyb)
-		if d != h {
-			t.Fatalf("trial %d: direct outcome %d, hybrid outcome %d", i, d, h)
+		d := stepwiseRace(mod, dir, Figure3Threshold, Figure3MaxSteps)
+		h := stepwiseRace(mod, hyb, Figure3Threshold, Figure3MaxSteps)
+		if d.Error() != h.Error() {
+			t.Fatalf("trial %d: direct error %v, hybrid error %v", i, d.Error(), h.Error())
 		}
 		if hyb.FastEvents() != 0 {
 			t.Fatalf("trial %d: hybrid batched %d events on a model with no batching opportunity",
 				i, hyb.FastEvents())
+		}
+		hybGen.Reseed(seed, uint64(i))
+		if got := RunRaceWith(mod, hyb, Figure3Threshold, Figure3MaxSteps); got != h {
+			t.Fatalf("trial %d: hybrid RunRaceWith %+v, stepwise race %+v", i, got, h)
+		}
+		want := 0
+		if h.Error() {
+			want = 1
+		}
+		hybGen.Reseed(seed, uint64(i))
+		if got := classify(hyb); got != want {
+			t.Fatalf("trial %d: hybrid Figure3Classifier %d, stepwise race %d", i, got, want)
+		}
+	}
+}
+
+// TestFigure3JumpChainMatchesStepwise: on OptimizedDirect, Figure3Observer
+// races the embedded jump chain and reads the first initializing outcome
+// off the catalysts after one step; stepwiseRace draws every holding time
+// and watches every event. The two draw different streams, so they are
+// compared in distribution, on disjoint seeds: the error fraction and the
+// mean race length must agree within 4 standard errors at every γ.
+func TestFigure3JumpChainMatchesStepwise(t *testing.T) {
+	trials := 20000
+	if testing.Short() {
+		trials = 4000
+	}
+	n := float64(trials)
+	hist := mc.HistConfig{Lo: 0, Width: 64, Bins: 512}
+	for i, gamma := range []float64{1, 10, 100} {
+		mod, err := Figure3Spec(gamma).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		comp := chem.Compile(mod.Net)
+		newEngine := func(gen *rng.PCG) sim.Engine { return sim.NewOptimizedDirectCompiled(comp, gen) }
+		fused := mc.RunDistWith(mc.Config{Trials: trials, Outcomes: 2, Seed: 1700 + uint64(i)},
+			hist, newEngine, Figure3Observer(mod))
+		step := mc.RunDistWith(mc.Config{Trials: trials, Outcomes: 2, Seed: 1800 + uint64(i)},
+			hist, newEngine, stepwiseObserver(mod))
+		pf, ps := fused.FPT.Proportion(1).Estimate(), step.FPT.Proportion(1).Estimate()
+		pool := (pf + ps) / 2
+		zErr := 0.0
+		if pool > 0 && pool < 1 {
+			zErr = (pf - ps) / math.Sqrt(pool*(1-pool)*2/n)
+		}
+		mf, ms := fused.Moments.Summary(), step.Moments.Summary()
+		zSteps := (mf.Mean - ms.Mean) / math.Sqrt(mf.Var/n+ms.Var/n)
+		t.Logf("γ=%g: error %.4f vs %.4f (z=%.2f), mean steps %.2f vs %.2f (z=%.2f)",
+			gamma, pf, ps, zErr, mf.Mean, ms.Mean, zSteps)
+		if math.Abs(zErr) >= 4 {
+			t.Errorf("γ=%g: jump-chain error fraction %.4f vs stepwise %.4f (z=%.2f)", gamma, pf, ps, zErr)
+		}
+		if math.Abs(zSteps) >= 4 || math.IsNaN(zSteps) {
+			t.Errorf("γ=%g: jump-chain mean steps %.3f vs stepwise %.3f (z=%.2f)", gamma, mf.Mean, ms.Mean, zSteps)
+		}
+	}
+}
+
+// TestRunRaceMultiOutputOutcome: an outcome with two outputs is declared
+// when their sum reaches the threshold, which no single-species threshold
+// expresses, so RunRaceWith races such a module through sim.Run and
+// ThresholdPredicate. Each trial must stop at the first event that brings
+// some outcome's output sum to the threshold, with FirstInit set; the
+// engines draw exactly the stepwise race's stream.
+func TestRunRaceMultiOutputOutcome(t *testing.T) {
+	mod, err := StochasticSpec{
+		Outcomes: []Outcome{
+			{Weight: 50, Outputs: []Output{
+				{Species: "a1", Food: "fa1", FoodQuantity: 40},
+				{Species: "a2", Food: "fa2", FoodQuantity: 40},
+			}},
+			{Weight: 50},
+		},
+		Gamma: 100,
+	}.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const threshold = 10
+	const trials = 200
+	for _, kind := range []sim.EngineKind{sim.EngineOptimizedDirect, sim.EngineDirect} {
+		gen := rng.NewStream(41, 0)
+		eng := sim.MustEngineOfKind(kind, mod.Net, nil, gen)
+		wins := make([]int, 2)
+		split := 0 // trials won by outcome 0 with neither output alone at the threshold
+		for i := 0; i < trials; i++ {
+			gen.Reseed(41, uint64(i))
+			r := RunRaceWith(mod, eng, threshold, 1_000_000)
+			st := eng.State()
+			if r.FirstInit < 0 || r.Winner < 0 {
+				t.Fatalf("%s trial %d: %+v, want FirstInit and Winner set", kind, i, r)
+			}
+			// Each working firing adds one output molecule, so the race
+			// stops with the winner's sum at the threshold and every
+			// other sum below it.
+			for j := range mod.Outputs {
+				sum := mod.OutputTotal(st, j)
+				if j == r.Winner && sum != threshold || j != r.Winner && sum >= threshold {
+					t.Fatalf("%s trial %d: outcome %d output sum %d with winner %d, threshold %d",
+						kind, i, j, sum, r.Winner, threshold)
+				}
+			}
+			wins[r.Winner]++
+			if r.Winner == 0 && st[mod.Outputs[0][0]] < threshold && st[mod.Outputs[0][1]] < threshold {
+				split++
+			}
+			gen.Reseed(41, uint64(i))
+			if want := stepwiseRace(mod, eng, threshold, 1_000_000); r != want {
+				t.Fatalf("%s trial %d: RunRaceWith %+v, stepwise race %+v", kind, i, r, want)
+			}
+		}
+		if wins[0] == 0 || wins[1] == 0 || split == 0 {
+			t.Fatalf("%s: wins %v, %d won on a split sum; want both outcomes and split sums", kind, wins, split)
+		}
+	}
+}
+
+// TestBuildRejectsNonzeroCatalyst: RunRaceWith reads the first
+// initializing outcome off the catalysts, so Build refuses a spec whose
+// food would give a catalyst a nonzero initial count.
+func TestBuildRejectsNonzeroCatalyst(t *testing.T) {
+	_, err := StochasticSpec{
+		Outcomes: []Outcome{{Weight: 1, Outputs: []Output{{Food: "d2"}}}, {Weight: 1}},
+		Gamma:    10,
+	}.Build()
+	if err == nil || !strings.Contains(err.Error(), "catalyst d2 of outcome 1 starts at 1000") {
+		t.Fatalf("Build error = %v, want the catalyst d2 of outcome 1 starting at 1000 refused", err)
+	}
+}
+
+// TestRunRaceStepBound: maxSteps bounds the whole race, the first step
+// included; 1 stops right after the initializing firing.
+func TestRunRaceStepBound(t *testing.T) {
+	mod, err := Figure3Spec(1000).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := rng.NewStream(3, 0)
+	for _, eng := range []sim.Engine{
+		sim.NewOptimizedDirect(mod.Net, gen),
+		sim.NewDirect(mod.Net, gen),
+		sim.NewFirstReaction(mod.Net, gen),
+	} {
+		for _, bound := range []int64{1, 2, 50} {
+			r := RunRaceWith(mod, eng, Figure3Threshold, bound)
+			if r.Steps != bound || r.Winner != -1 || r.FirstInit < 0 {
+				t.Errorf("%T maxSteps %d: %+v, want %d steps, no winner, FirstInit set", eng, bound, r, bound)
+			}
 		}
 	}
 }

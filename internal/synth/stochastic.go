@@ -3,8 +3,10 @@ package synth
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"stochsynth/internal/chem"
+	"stochsynth/internal/sim"
 )
 
 // Output specifies one working-reaction product of an outcome: when the
@@ -79,6 +81,18 @@ type StochasticModule struct {
 	// initial is Net's initial state, snapshotted at Build so race trials
 	// Reset engines to it without cloning (engines copy on Reset).
 	initial chem.State
+	// races holds the race list of the last threshold RunRaceWith raced
+	// on (see raceThresholds), shared by pointer with copies of the module.
+	races *atomic.Pointer[raceList]
+}
+
+// raceList is the threshold list RunRaceWith races a module on for one
+// threshold: one single-species threshold per outcome, or nil when some
+// outcome has two or more outputs (their sum reaches the threshold, which
+// no single-species threshold expresses).
+type raceList struct {
+	threshold int64
+	ths       []sim.SpeciesThreshold
 }
 
 // Build validates the spec and generates the module's five reaction
@@ -224,6 +238,15 @@ func (spec StochasticSpec) Build() (*StochasticModule, error) {
 		mod.initOutcome[initStart+i] = i
 	}
 	mod.initial = mod.Net.InitialState()
+	// RunRaceWith reads the first initializing outcome off the catalysts,
+	// which is exact only while every catalyst starts at zero.
+	for i, c := range mod.Catalysts {
+		if mod.initial[c] != 0 {
+			return nil, fmt.Errorf("synth: catalyst %s of outcome %d starts at %d, want 0 (a food shares its name)",
+				dName(i), i, mod.initial[c])
+		}
+	}
+	mod.races = new(atomic.Pointer[raceList])
 	return mod, nil
 }
 
@@ -244,8 +267,9 @@ func (m *StochasticModule) Probabilities() []float64 {
 
 // InitializingOutcome reports which outcome's initializing reaction the
 // given reaction index is, or -1 if it is not an initializing reaction.
-// Observers use it to record the first initializing firing (the paper's
-// error criterion for Figure 3).
+// Event observers can use it to record the first initializing firing (the
+// paper's error criterion for Figure 3); RunRaceWith needs no observer
+// and reads that firing off the catalysts instead.
 func (m *StochasticModule) InitializingOutcome(reaction int) int {
 	if reaction < 0 || reaction >= len(m.initOutcome) {
 		return -1
@@ -284,6 +308,38 @@ func (m *StochasticModule) Winner(st chem.State, threshold int64) int {
 		}
 	}
 	return -1
+}
+
+// catalystOutcome returns the first outcome whose catalyst is present in
+// st, or -1 if none is. After a built module's first event it is the
+// outcome whose initializing reaction fired (see RunRaceWith).
+func (m *StochasticModule) catalystOutcome(st chem.State) int {
+	for i, c := range m.Catalysts {
+		if st[c] != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// raceThresholds returns the module's race list for threshold (nil for a
+// module with a multi-output outcome). A list is built once per threshold
+// and never written after it is published, so every Monte Carlo worker
+// shares it; only a change of threshold publishes a new one.
+func (m *StochasticModule) raceThresholds(threshold int64) []sim.SpeciesThreshold {
+	if l := m.races.Load(); l != nil && l.threshold == threshold {
+		return l.ths
+	}
+	l := &raceList{threshold: threshold, ths: make([]sim.SpeciesThreshold, len(m.Outputs))}
+	for i, outs := range m.Outputs {
+		if len(outs) != 1 {
+			l.ths = nil
+			break
+		}
+		l.ths[i] = sim.SpeciesThreshold{Species: outs[0], Count: threshold}
+	}
+	m.races.Store(l)
+	return l.ths
 }
 
 // ThresholdPredicate returns a sim.RunOptions.StopWhen predicate that fires
