@@ -175,8 +175,9 @@ func BenchmarkExample2(b *testing.B) {
 }
 
 // lambdaEventBench measures raw engine throughput (ns per reaction event)
-// on the Figure 4 network at MOI 5 — the Gibson–Bruck comparison the paper
-// cites as its simulation substrate.
+// on the Figure 4 network at MOI 5. The paper cites Gibson–Bruck as its
+// simulation substrate; here Direct and OptimizedDirect fill that
+// exact-SSA role.
 func lambdaEventBench(b *testing.B, mk func(*chem.Network, *rng.PCG) sim.Engine) {
 	model := lambda.SyntheticModel()
 	st0 := model.Net.InitialState()
@@ -202,10 +203,6 @@ func BenchmarkEngineDirectLambda(b *testing.B) {
 
 func BenchmarkEngineOptimizedDirectLambda(b *testing.B) {
 	lambdaEventBench(b, func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewOptimizedDirect(n, g) })
-}
-
-func BenchmarkEngineNextReactionLambda(b *testing.B) {
-	lambdaEventBench(b, func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewNextReaction(n, g) })
 }
 
 func BenchmarkEngineFirstReactionLambda(b *testing.B) {
@@ -297,8 +294,8 @@ func BenchmarkTrialsNaturalOptimizedReuse(b *testing.B) {
 }
 
 // wideNetwork builds an N-channel cyclic conversion network — the "many
-// species and many channels" regime where Gibson–Bruck's dependency graph
-// pays off.
+// species and many channels" regime where OptimizedDirect's dependency
+// graph and two-level block selection (chem.BlockThreshold) pay off.
 func wideNetwork(n int) *chem.Network {
 	net := chem.NewNetwork()
 	b := chem.WrapBuilder(net)
@@ -334,10 +331,6 @@ func BenchmarkEngineDirectWide256(b *testing.B) {
 
 func BenchmarkEngineOptimizedDirectWide256(b *testing.B) {
 	wideEventBench(b, func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewOptimizedDirect(n, g) })
-}
-
-func BenchmarkEngineNextReactionWide256(b *testing.B) {
-	wideEventBench(b, func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewNextReaction(n, g) })
 }
 
 // BenchmarkAblationNoPurifying quantifies the purifying category's

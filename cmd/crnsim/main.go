@@ -12,7 +12,8 @@
 //	-mean             with -trials: ensemble mean±stderr time-course as CSV
 //	                  (grid of 20 points up to -maxtime, which is required)
 //	-species a,b,c    restrict reporting to these species
-//	-engine E         direct | optimized | first | next (default direct)
+//	-engine E         direct | optimized | first-reaction | hybrid
+//	                  (default direct; see docs/engines.md)
 //	-maxtime T        stop a trajectory at simulated time T
 //	-maxsteps N       stop a trajectory after N events (default 1e6)
 //	-seed S           RNG seed (default 1)
@@ -42,7 +43,7 @@ func main() {
 	var (
 		trials   = flag.Int("trials", 0, "Monte Carlo trial count (0 = single trace)")
 		species  = flag.String("species", "", "comma-separated species to report (default all)")
-		engine   = flag.String("engine", "direct", "simulation engine: direct|optimized|first|next")
+		engine   = flag.String("engine", "direct", "simulation engine: direct|optimized|first-reaction|hybrid")
 		maxTime  = flag.Float64("maxtime", 0, "simulated-time bound (0 = none)")
 		maxSteps = flag.Int64("maxsteps", 1_000_000, "event-count bound")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
@@ -86,14 +87,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	mk, err := engineFactory(*engine)
+	mk, err := engineFactory(*engine, net)
 	if err != nil {
 		fatal(err)
 	}
 	opts := sim.RunOptions{MaxTime: *maxTime, MaxSteps: *maxSteps}
 
 	if *trials <= 0 {
-		eng := mk(net, rng.New(*seed))
+		eng := mk(rng.New(*seed))
 		var tr sim.Trajectory
 		opts.OnEvent = tr.RecordAll(eng)
 		res := sim.Run(eng, opts)
@@ -119,8 +120,7 @@ func main() {
 	st0 := net.InitialState()
 	for _, sp := range report {
 		sp := sp
-		s := mc.RunNumericWith(mc.Config{Trials: *trials, Seed: *seed},
-			func(gen *rng.PCG) sim.Engine { return mk(net, gen) },
+		s := mc.RunNumericWith(mc.Config{Trials: *trials, Seed: *seed}, mk,
 			func(eng sim.Engine) float64 {
 				eng.Reset(st0, 0)
 				sim.Run(eng, opts)
@@ -131,19 +131,18 @@ func main() {
 	}
 }
 
-func engineFactory(name string) (func(*chem.Network, *rng.PCG) sim.Engine, error) {
-	switch name {
-	case "direct":
-		return func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewDirect(n, g) }, nil
-	case "optimized":
-		return func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewOptimizedDirect(n, g) }, nil
-	case "first":
-		return func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewFirstReaction(n, g) }, nil
-	case "next":
-		return func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewNextReaction(n, g) }, nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want direct|optimized|first|next)", name)
+// engineFactory validates an engine name against sim.EngineKinds and
+// compiles net once; the returned constructor builds engines over the
+// shared kernel, one per Monte Carlo worker. The hybrid protects nothing.
+func engineFactory(name string, net *chem.Network) (func(*rng.PCG) sim.Engine, error) {
+	kind, err := sim.ParseEngineKind(name)
+	if err != nil || kind == "" {
+		return nil, fmt.Errorf("unknown engine %q (known: %v)", name, sim.EngineKinds())
 	}
+	comp := chem.Compile(net)
+	return func(gen *rng.PCG) sim.Engine {
+		return sim.MustEngineOfKindCompiled(kind, comp, nil, gen)
+	}, nil
 }
 
 func selectSpecies(net *chem.Network, list string) ([]chem.Species, error) {

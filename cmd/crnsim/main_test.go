@@ -14,18 +14,20 @@ func TestEngineFactory(t *testing.T) {
 a = 3
 a -> b @ 1
 `)
-	for _, name := range []string{"direct", "optimized", "first", "next"} {
-		mk, err := engineFactory(name)
+	for _, kind := range sim.EngineKinds() {
+		mk, err := engineFactory(string(kind), net)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", kind, err)
 		}
-		eng := mk(net, rng.New(1))
-		if res := sim.Run(eng, sim.RunOptions{}); res.Steps != 3 {
-			t.Fatalf("%s ran %d steps", name, res.Steps)
+		if res := sim.Run(mk(rng.New(1)), sim.RunOptions{}); res.Steps != 3 {
+			t.Fatalf("%s ran %d steps", kind, res.Steps)
 		}
 	}
-	if _, err := engineFactory("warp"); err == nil {
-		t.Fatal("unknown engine accepted")
+	// Abbreviations and retired kinds are refused.
+	for _, name := range []string{"warp", "", "first", "next", "next-reaction"} {
+		if _, err := engineFactory(name, net); err == nil {
+			t.Errorf("engine %q accepted", name)
+		}
 	}
 }
 

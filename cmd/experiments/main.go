@@ -13,8 +13,8 @@
 //	-shards K   shards for the Figure 3 sweep (default 1; tallies are
 //	            bit-for-bit identical for every K — see docs/sharding.md)
 //	-engine E   simulation engine for the Monte Carlo sweeps (fig3, fig5,
-//	            pipeline): direct|optimized|first-reaction|next-reaction|
-//	            hybrid; default optimized. See docs/engines.md.
+//	            pipeline): direct|optimized|first-reaction|hybrid;
+//	            default optimized. See docs/engines.md.
 //
 // The tool prints measured values next to the paper's reported/derived
 // values so deviations are visible at a glance. EXPERIMENTS.md records a

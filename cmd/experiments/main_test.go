@@ -49,11 +49,11 @@ func TestEngineSelectionFailsFast(t *testing.T) {
 		want []string
 	}{
 		{[]string{"-engine", "bogus"},
-			[]string{"unknown engine", "direct", "optimized", "first-reaction", "next-reaction", "hybrid"}},
+			[]string{"unknown engine", "direct", "optimized", "first-reaction", "hybrid"}},
 		{[]string{"-exp", "fig3", "-engine", "direct"},
 			[]string{"no registered Figure 3 sweep", "optimized", "hybrid"}},
 		{[]string{"-exp", "fig3", "-engine", "next-reaction"},
-			[]string{"no registered Figure 3 sweep"}},
+			[]string{"unknown engine", "direct", "optimized", "first-reaction", "hybrid"}},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -85,7 +85,7 @@ func TestValidateEngineSelection(t *testing.T) {
 	}{
 		{"fig3", ""}, {"fig3", sim.EngineOptimizedDirect}, {"fig3", sim.EngineHybrid},
 		{"all", sim.EngineHybrid}, {"all", sim.EngineDirect},
-		{"fig5", sim.EngineDirect}, {"ex1", sim.EngineNextReaction},
+		{"fig5", sim.EngineDirect}, {"ex1", sim.EngineFirstReaction},
 	} {
 		if err := validateEngineSelection(ok.exp, ok.kind); err != nil {
 			t.Errorf("exp %q engine %q: unexpected rejection: %v", ok.exp, ok.kind, err)
@@ -96,7 +96,6 @@ func TestValidateEngineSelection(t *testing.T) {
 		kind sim.EngineKind
 	}{
 		{"fig3", sim.EngineDirect}, {"fig3", sim.EngineFirstReaction},
-		{"fig3", sim.EngineNextReaction},
 	} {
 		if err := validateEngineSelection(bad.exp, bad.kind); err == nil {
 			t.Errorf("exp %q engine %q: expected rejection", bad.exp, bad.kind)

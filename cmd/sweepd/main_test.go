@@ -72,7 +72,7 @@ func encodedOrDie(t *testing.T, res shard.ShardResult) []byte {
 
 // TestServeWorkersMatchSingleProcess is the network end-to-end check:
 // three real `sweepd -serve` processes on loopback serve a natural-lambda
-// tally and a numeric Figure 3 sweep through RemoteRunner, and both merge
+// tally and a numeric Figure 3 sweep through RemotePool, and both merge
 // exactly — χ² of 0 against Characterize for the tally, bit-identical
 // moments against mc.SweepNumeric for the numeric sweep.
 func TestServeWorkersMatchSingleProcess(t *testing.T) {
@@ -149,9 +149,10 @@ func TestServeWorkersMatchSingleProcess(t *testing.T) {
 				t.Fatal(err)
 			}
 			classify := synth.Figure3Classifier(mod)
+			comp := chem.Compile(mod.Net)
 			protected := mod.ProtectedSpecies()
 			return func(gen *rng.PCG) float64 {
-				return float64(classify(sim.MustEngineOfKind("", mod.Net, protected, gen)))
+				return float64(classify(sim.MustEngineOfKindCompiled("", comp, protected, gen)))
 			}
 		})
 	for i := range gammas {

@@ -15,8 +15,7 @@
 // The package provides construction (Builder), a text format (ParseNetwork /
 // AppendCRN), paper-style pretty printing, dependency graphs for efficient
 // simulation, and structural validation. Simulation itself lives in package
-// sim; deterministic mean-field analysis in package ode; exact
-// chemical-master-equation analysis in package exact.
+// sim; exact chemical-master-equation analysis in package exact.
 package chem
 
 import (

@@ -89,57 +89,3 @@ func Delta(r *Reaction, numSpecies int) []int64 {
 	}
 	return d
 }
-
-// StoichiometryMatrix returns the numSpecies × numReactions net
-// stoichiometry matrix N with N[s][j] the change in species s per firing of
-// reaction j.
-func StoichiometryMatrix(net *Network) [][]int64 {
-	m := make([][]int64, net.NumSpecies())
-	for s := range m {
-		m[s] = make([]int64, net.NumReactions())
-	}
-	for j := range net.Reactions() {
-		r := net.Reaction(j)
-		for _, t := range r.Reactants {
-			m[t.Species][j] -= t.Coeff
-		}
-		for _, t := range r.Products {
-			m[t.Species][j] += t.Coeff
-		}
-	}
-	return m
-}
-
-// CheckConserved reports whether the weighted sum Σ w_s·x_s is invariant
-// under every reaction of the network (i.e. w is a conservation law).
-func CheckConserved(net *Network, weights []float64) bool {
-	if len(weights) != net.NumSpecies() {
-		return false
-	}
-	for j := range net.Reactions() {
-		r := net.Reaction(j)
-		var sum float64
-		for _, t := range r.Reactants {
-			sum -= float64(t.Coeff) * weights[t.Species]
-		}
-		for _, t := range r.Products {
-			sum += float64(t.Coeff) * weights[t.Species]
-		}
-		if sum != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MaxReactionOrder returns the largest reaction order in the network (0 for
-// an empty network). Tau-leaping and the CME state-space bound use it.
-func MaxReactionOrder(net *Network) int64 {
-	var max int64
-	for i := range net.Reactions() {
-		if o := net.Reaction(i).Order(); o > max {
-			max = o
-		}
-	}
-	return max
-}

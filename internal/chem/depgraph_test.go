@@ -77,55 +77,6 @@ func TestDeltaVector(t *testing.T) {
 	}
 }
 
-func TestStoichiometryMatrix(t *testing.T) {
-	net := MustParseNetwork(`
-a -> b @ 1
-2 b -> a @ 1
-`)
-	m := StoichiometryMatrix(net)
-	a, b := net.MustSpecies("a"), net.MustSpecies("b")
-	if m[a][0] != -1 || m[b][0] != 1 {
-		t.Fatalf("column 0 wrong: %v", m)
-	}
-	if m[a][1] != 1 || m[b][1] != -2 {
-		t.Fatalf("column 1 wrong: %v", m)
-	}
-}
-
-func TestCheckConserved(t *testing.T) {
-	// a <-> b conserves a+b; a -> 2b does not.
-	net := MustParseNetwork(`
-a -> b @ 1
-b -> a @ 1
-`)
-	if !CheckConserved(net, []float64{1, 1}) {
-		t.Fatal("a+b should be conserved")
-	}
-	net2 := MustParseNetwork(`a -> 2 b @ 1`)
-	if CheckConserved(net2, []float64{1, 1}) {
-		t.Fatal("a+b should not be conserved under a -> 2b")
-	}
-	if !CheckConserved(net2, []float64{2, 1}) {
-		t.Fatal("2a+b should be conserved under a -> 2b")
-	}
-	if CheckConserved(net2, []float64{1}) {
-		t.Fatal("wrong-length weights should fail")
-	}
-}
-
-func TestMaxReactionOrder(t *testing.T) {
-	net := MustParseNetwork(`
-0 -> a @ 1
-a + 2 b -> c @ 1
-`)
-	if got := MaxReactionOrder(net); got != 3 {
-		t.Fatalf("max order = %d, want 3", got)
-	}
-	if got := MaxReactionOrder(NewNetwork()); got != 0 {
-		t.Fatalf("empty network max order = %d, want 0", got)
-	}
-}
-
 func equalInts(a, b []int) bool {
 	if len(a) != len(b) {
 		return false

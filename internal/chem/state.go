@@ -105,15 +105,6 @@ func binomialFloat(n, k int64) float64 {
 	return v
 }
 
-// TotalPropensity sums the propensities of all reactions in net at state s.
-func TotalPropensity(net *Network, s State) float64 {
-	var total float64
-	for i := range net.reactions {
-		total += Propensity(&net.reactions[i], s)
-	}
-	return total
-}
-
 // Quiescent reports whether no reaction of net can fire in state s (total
 // propensity is zero). A quiescent state is absorbing under exact stochastic
 // kinetics.

@@ -1,7 +1,6 @@
 package chem
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -124,18 +123,6 @@ b + c -> a @ 1
 	}
 	if Quiescent(n, State{1, 0, 0}) {
 		t.Fatal("state with firable reaction reported quiescent")
-	}
-}
-
-func TestTotalPropensity(t *testing.T) {
-	n := MustParseNetwork(`
-a -> b @ 2
-b -> a @ 3
-`)
-	st := State{4, 5}
-	want := 2.0*4 + 3.0*5
-	if got := TotalPropensity(n, st); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("total propensity = %v, want %v", got, want)
 	}
 }
 

@@ -85,9 +85,10 @@ func TestHybridMatchesDirectAcrossMOI(t *testing.T) {
 func TestHybridBatchesTheSyntheticHotPath(t *testing.T) {
 	m := SyntheticModel().WithEngine(sim.EngineHybrid)
 	gen := rng.New(7)
-	h, ok := m.NewEngine(gen).(*sim.Hybrid)
+	eng := m.EngineFactoryAt(5)(gen)
+	h, ok := eng.(*sim.Hybrid)
 	if !ok {
-		t.Fatalf("NewEngine returned %T, want *sim.Hybrid", m.NewEngine(gen))
+		t.Fatalf("EngineFactoryAt returned %T, want *sim.Hybrid", eng)
 	}
 	part := h.Partition()
 	if len(part.Relays) != 1 {

@@ -87,42 +87,18 @@ func (m *Model) WithEngine(kind sim.EngineKind) *Model {
 	return &c
 }
 
-// NewEngine builds the engine Characterize uses: the model's configured
-// kind, defaulting to OptimizedDirect. The outcome species are the
-// protected set for hybrid partitioning. Each call compiles the network;
-// callers building one engine per worker should use EngineFactory, which
-// compiles once and shares the kernel.
-func (m *Model) NewEngine(gen *rng.PCG) sim.Engine {
-	return sim.MustEngineOfKind(m.Engine, m.Net, m.protected(), gen)
-}
-
-// EngineFactory compiles the network once and returns a constructor that
+// EngineFactoryAt compiles the network once and returns a constructor that
 // builds engines of the model's configured kind over the shared immutable
-// kernel — the per-worker factory shape mc.RunWith wants. Trajectories are
-// identical to NewEngine's (the kernel is a pure function of the network).
+// kernel — the per-worker factory shape mc.RunWith wants. The outcome
+// species are the protected set for hybrid partitioning.
 //
-// The kernel is ordered at the *undosed* default initial state. The Monte
-// Carlo paths (Characterize, Trial, the shard factories) use
-// EngineFactoryAt instead, whose MOI-dosed ordering ranks the infection
-// cascade's hot channels correctly.
-func (m *Model) EngineFactory() func(gen *rng.PCG) sim.Engine {
-	comp := chem.Compile(m.Net)
-	protected := m.protected()
-	kind := m.Engine
-	return func(gen *rng.PCG) sim.Engine {
-		return sim.MustEngineOfKindCompiled(kind, comp, protected, gen)
-	}
-}
-
-// EngineFactoryAt is EngineFactory with the kernel's channel ordering
-// computed at the MOI-dosed initial state (chem.CompileAt) — the
-// characteristic state the trial body actually Resets engines to. At the
-// undosed default every cascade channel is quiet and ranks by the
-// rate-constant tiebreak, which puts the models' hot channels at the back
-// of the selection scan; dosing the ordering state fixes the ranking.
-// Distributions are unchanged (any ordering is exact); the sampled
-// trajectory stream differs from EngineFactory's because propensity totals
-// accumulate in the new channel order.
+// The kernel's channel ordering is computed at the MOI-dosed initial state
+// (chem.CompileAt) — the characteristic state the trial body actually
+// Resets engines to. At the undosed default every cascade channel is quiet
+// and ranks by the rate-constant tiebreak, which puts the models' hot
+// channels at the back of the selection scan; dosing the ordering state
+// fixes the ranking. Any ordering is exact; the sampled trajectory stream
+// depends on it because propensity totals accumulate in channel order.
 func (m *Model) EngineFactoryAt(moi int64) func(gen *rng.PCG) sim.Engine {
 	comp := m.compileAt(moi)
 	protected := m.protected()

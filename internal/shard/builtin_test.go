@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"stochsynth/internal/chem"
 	"stochsynth/internal/lambda"
 	"stochsynth/internal/mc"
 	"stochsynth/internal/rng"
@@ -82,9 +83,10 @@ func TestFig3NumericSweepAgreesWithTallyTrialForTrial(t *testing.T) {
 				t.Fatal(err)
 			}
 			classify := synth.Figure3Classifier(mod)
+			comp := chem.Compile(mod.Net)
 			protected := mod.ProtectedSpecies()
 			return func(gen *rng.PCG) float64 {
-				return float64(classify(sim.MustEngineOfKind("", mod.Net, protected, gen)))
+				return float64(classify(sim.MustEngineOfKindCompiled("", comp, protected, gen)))
 			}
 		})
 

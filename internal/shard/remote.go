@@ -106,17 +106,6 @@ func NewRemotePool(addrs []string, opts RemoteOptions) (*RemotePool, error) {
 	}, nil
 }
 
-// RemoteRunner is a convenience constructor: a Runner dispatching over a
-// fresh pool with default options. Callers that need Close, fault
-// injection or timeouts build the pool explicitly.
-func RemoteRunner(addrs ...string) (Runner, error) {
-	p, err := NewRemotePool(addrs, RemoteOptions{})
-	if err != nil {
-		return nil, err
-	}
-	return p.Runner(), nil
-}
-
 // Runner returns the pool's shard dispatcher. Each call runs one shard on
 // one worker and reports failures to the caller — it deliberately does
 // not retry internally, so it slots into Coordinate's existing retry

@@ -336,7 +336,7 @@ func runRecovering(spec ShardSpec, reg *Registry) (res ShardResult, err error) {
 // new shard requests, waits for in-flight shards to finish and their
 // results to be written, then closes the remaining connections. Shards
 // dispatched after draining begins receive a drain frame, which
-// RemoteRunner treats as "re-dispatch elsewhere".
+// RemotePool.Runner treats as "re-dispatch elsewhere".
 func (s *Server) Drain() {
 	s.mu.Lock()
 	s.draining = true

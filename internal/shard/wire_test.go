@@ -306,6 +306,7 @@ func TestNetworkSpecRejections(t *testing.T) {
 		"bad crn":          {func(s *ShardSpec) { s.Network.CRN = "a -> b" }, "crn: line 1"},
 		"empty crn":        {func(s *ShardSpec) { s.Network.CRN = "" }, "empty crn"},
 		"unknown engine":   {func(s *ShardSpec) { s.Network.Engine = "quantum" }, "unknown engine"},
+		"retired engine":   {func(s *ShardSpec) { s.Network.Engine = "next-reaction" }, "unknown engine"},
 		"unknown obs kind": {func(s *ShardSpec) { s.Network.Observable.Kind = "vibes" }, "observable kind"},
 		"missing species":  {func(s *ShardSpec) { s.Network.Observable.SpeciesA = "ghost" }, "not in network"},
 		"self race":        {func(s *ShardSpec) { s.Network.Observable.SpeciesB = "x" }, "itself"},

@@ -19,7 +19,6 @@ var engines = []struct {
 	{"direct", func(n *chem.Network, g *rng.PCG) Engine { return NewDirect(n, g) }},
 	{"optimized", func(n *chem.Network, g *rng.PCG) Engine { return NewOptimizedDirect(n, g) }},
 	{"first-reaction", func(n *chem.Network, g *rng.PCG) Engine { return NewFirstReaction(n, g) }},
-	{"next-reaction", func(n *chem.Network, g *rng.PCG) Engine { return NewNextReaction(n, g) }},
 	{"hybrid", func(n *chem.Network, g *rng.PCG) Engine { return NewHybrid(n, nil, g) }},
 }
 
@@ -161,29 +160,45 @@ a -> 0 @ 2
 }
 
 func TestEnginesEquilibriumMean(t *testing.T) {
-	// Isomerisation a <-> b with rates 2 and 1 and N = 30 total: at
-	// stationarity each molecule is independently in state a with
-	// probability 1/3, so E[A] = 10.
-	net := chem.MustParseNetwork(`
+	// Species 0 at t = 10, against its closed-form mean and sd.
+	cases := []struct {
+		name     string
+		crn      string
+		mean, sd float64
+	}{
+		// Isomerisation a <-> b with rates 2 and 1 and N = 30 total: at
+		// stationarity each molecule is independently in state a with
+		// probability 1/3, so E[A] = 10 with a binomial sd. t = 10 is ~10
+		// relaxation times.
+		{"isomerisation", `
 a = 30
 a -> b @ 2
 b -> a @ 1
-`)
+`, 10, math.Sqrt(30 * (1.0 / 3) * (2.0 / 3))},
+		// Immigration-death 0 -> b @ 50, b -> 0 @ 1 from b = 0: b(t) is
+		// Poisson with mean 50(1 - e^-t), so its sd is at most sqrt(50).
+		// With nothing protected the hybrid propagates this as a relay.
+		{"immigration-death", `
+0 -> b @ 50
+b -> 0 @ 1
+`, 50 * (1 - math.Exp(-10)), math.Sqrt(50)},
+	}
 	const trials = 3000
-	for _, e := range engines {
-		gen := rng.New(19)
-		eng := e.mk(net, gen)
-		sum := 0.0
-		for i := 0; i < trials; i++ {
-			eng.Reset(net.InitialState(), 0)
-			Run(eng, RunOptions{MaxTime: 10}) // ~10 relaxation times
-			sum += float64(eng.State()[0])
-		}
-		mean := sum / trials
-		sd := math.Sqrt(30 * (1.0 / 3) * (2.0 / 3)) // binomial sd
-		tol := 6 * sd / math.Sqrt(trials)
-		if math.Abs(mean-10) > tol {
-			t.Errorf("%s: equilibrium E[A] = %v, want 10±%v", e.name, mean, tol)
+	for _, c := range cases {
+		net := chem.MustParseNetwork(c.crn)
+		tol := 6 * c.sd / math.Sqrt(trials)
+		for _, e := range engines {
+			gen := rng.New(19)
+			eng := e.mk(net, gen)
+			sum := 0.0
+			for i := 0; i < trials; i++ {
+				eng.Reset(net.InitialState(), 0)
+				Run(eng, RunOptions{MaxTime: 10})
+				sum += float64(eng.State()[0])
+			}
+			if mean := sum / trials; math.Abs(mean-c.mean) > tol {
+				t.Errorf("%s %s: E[x0](10) = %v, want %v±%v", c.name, e.name, mean, c.mean, tol)
+			}
 		}
 	}
 }

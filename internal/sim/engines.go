@@ -24,8 +24,6 @@ const (
 	// EngineFirstReaction is Gillespie's first-reaction method: exact,
 	// a cross-validation oracle.
 	EngineFirstReaction EngineKind = "first-reaction"
-	// EngineNextReaction is Gibson-Bruck: exact, indexed priority queue.
-	EngineNextReaction EngineKind = "next-reaction"
 	// EngineHybrid is the partitioned exact/tau-leap engine: exact on the
 	// protected (outcome) marginal whenever the fast channels do not write
 	// slow reactants, epsilon-accurate otherwise, and orders of magnitude
@@ -36,8 +34,7 @@ const (
 // EngineKinds lists every selectable kind, in documentation order.
 func EngineKinds() []EngineKind {
 	return []EngineKind{
-		EngineDirect, EngineOptimizedDirect, EngineFirstReaction,
-		EngineNextReaction, EngineHybrid,
+		EngineDirect, EngineOptimizedDirect, EngineFirstReaction, EngineHybrid,
 	}
 }
 
@@ -55,23 +52,12 @@ func ParseEngineKind(s string) (EngineKind, error) {
 	return "", fmt.Errorf("sim: unknown engine %q (known: %v)", s, EngineKinds())
 }
 
-// NewEngineOfKind builds an engine of the given kind over net at the
-// default initial state. protected lists the outcome/threshold species a
-// hybrid engine must keep exact; the exact engines ignore it. An empty
-// kind defaults to EngineOptimizedDirect. The network is compiled
-// (chem.Compile) per call; callers constructing many engines over one
-// network (one per Monte Carlo worker) should compile once and use
-// NewEngineOfKindCompiled.
-func NewEngineOfKind(kind EngineKind, net *chem.Network, protected []chem.Species, gen *rng.PCG) (Engine, error) {
-	if _, err := ParseEngineKind(string(kind)); err != nil {
-		return nil, err
-	}
-	return NewEngineOfKindCompiled(kind, chem.Compile(net), protected, gen)
-}
-
 // NewEngineOfKindCompiled builds an engine of the given kind over an
 // already-compiled kernel, sharing it instead of recompiling. A Compiled is
 // immutable, so any number of engines (across goroutines) may share one.
+// protected lists the outcome/threshold species a hybrid engine must keep
+// exact; the exact engines ignore it. An empty kind defaults to
+// EngineOptimizedDirect.
 func NewEngineOfKindCompiled(kind EngineKind, comp *chem.Compiled, protected []chem.Species, gen *rng.PCG) (Engine, error) {
 	switch kind {
 	case EngineDirect:
@@ -80,8 +66,6 @@ func NewEngineOfKindCompiled(kind EngineKind, comp *chem.Compiled, protected []c
 		return NewOptimizedDirectCompiled(comp, gen), nil
 	case EngineFirstReaction:
 		return NewFirstReactionCompiled(comp, gen), nil
-	case EngineNextReaction:
-		return NewNextReactionCompiled(comp, gen), nil
 	case EngineHybrid:
 		return NewHybridCompiled(comp, protected, gen), nil
 	default:
@@ -93,17 +77,6 @@ func NewEngineOfKindCompiled(kind EngineKind, comp *chem.Compiled, protected []c
 // already validated the kind; it panics on an unknown kind.
 func MustEngineOfKindCompiled(kind EngineKind, comp *chem.Compiled, protected []chem.Species, gen *rng.PCG) Engine {
 	eng, err := NewEngineOfKindCompiled(kind, comp, protected, gen)
-	if err != nil {
-		panic(err)
-	}
-	return eng
-}
-
-// MustEngineOfKind is NewEngineOfKind for callers that have already
-// validated the kind (engine factories inside worker loops); it panics on
-// an unknown kind.
-func MustEngineOfKind(kind EngineKind, net *chem.Network, protected []chem.Species, gen *rng.PCG) Engine {
-	eng, err := NewEngineOfKind(kind, net, protected, gen)
 	if err != nil {
 		panic(err)
 	}

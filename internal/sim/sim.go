@@ -1,5 +1,5 @@
 // Package sim implements stochastic simulation of chemical reaction
-// networks (the "Monte Carlo simulations" of the paper): four exact engines
+// networks (the "Monte Carlo simulations" of the paper): three exact engines
 // and a hybrid that is exact on the outcome species.
 //
 // Engines:
@@ -10,8 +10,6 @@
 //     affected propensities are refreshed — exact, faster on wide networks.
 //   - FirstReaction: Gillespie's first-reaction method — exact, mainly a
 //     cross-validation oracle (it consumes randomness very differently).
-//   - NextReaction: Gibson & Bruck (2000) — exact, indexed priority queue
-//     plus dependency graph, one exponential variate per event.
 //   - Hybrid: partitioned exact/tau-leap engine — exact next-event race
 //     over the channels that decide the observable, analytic relay
 //     propagation and CGP-controlled leaping for the high-throughput rest

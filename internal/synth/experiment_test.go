@@ -275,9 +275,10 @@ func TestRunRaceMultiOutputOutcome(t *testing.T) {
 	}
 	const threshold = 10
 	const trials = 200
+	comp := chem.Compile(mod.Net)
 	for _, kind := range []sim.EngineKind{sim.EngineOptimizedDirect, sim.EngineDirect} {
 		gen := rng.NewStream(41, 0)
-		eng := sim.MustEngineOfKind(kind, mod.Net, nil, gen)
+		eng := sim.MustEngineOfKindCompiled(kind, comp, nil, gen)
 		wins := make([]int, 2)
 		split := 0 // trials won by outcome 0 with neither output alone at the threshold
 		for i := 0; i < trials; i++ {

@@ -36,7 +36,8 @@
 //     ParseNetwork, Format
 //   - synthesis (internal/synth): StochasticSpec, the deterministic
 //     function modules, affine preprocessing
-//   - exact simulation (internal/sim): Direct, NextReaction and friends
+//   - exact simulation (internal/sim): Direct, OptimizedDirect and
+//     FirstReaction
 //   - Monte Carlo (internal/mc) and curve fitting (internal/fit)
 //   - the lambda bacteriophage application (internal/lambda)
 //
@@ -126,9 +127,6 @@ type (
 
 // NewDirect returns a Gillespie direct-method engine.
 func NewDirect(net *Network, gen *RNG) Engine { return sim.NewDirect(net, gen) }
-
-// NewNextReaction returns a Gibson–Bruck next-reaction engine.
-func NewNextReaction(net *Network, gen *RNG) Engine { return sim.NewNextReaction(net, gen) }
 
 // NewFirstReaction returns a first-reaction-method engine.
 func NewFirstReaction(net *Network, gen *RNG) Engine { return sim.NewFirstReaction(net, gen) }

@@ -64,7 +64,6 @@ func TestPublicAPIEngines(t *testing.T) {
 	n := net.Network()
 	for _, mk := range []func(*stochsynth.Network, *stochsynth.RNG) stochsynth.Engine{
 		stochsynth.NewDirect,
-		stochsynth.NewNextReaction,
 		stochsynth.NewFirstReaction,
 		stochsynth.NewOptimizedDirect,
 	} {
