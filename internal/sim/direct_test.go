@@ -185,21 +185,23 @@ b -> 0 @ 1
 	}
 	const trials = 3000
 	for _, c := range cases {
-		net := chem.MustParseNetwork(c.crn)
-		tol := 6 * c.sd / math.Sqrt(trials)
-		for _, e := range engines {
-			gen := rng.New(19)
-			eng := e.mk(net, gen)
-			sum := 0.0
-			for i := 0; i < trials; i++ {
-				eng.Reset(net.InitialState(), 0)
-				Run(eng, RunOptions{MaxTime: 10})
-				sum += float64(eng.State()[0])
+		t.Run(c.name, func(t *testing.T) {
+			net := chem.MustParseNetwork(c.crn)
+			tol := 6 * c.sd / math.Sqrt(trials)
+			for _, e := range engines {
+				gen := rng.New(19)
+				eng := e.mk(net, gen)
+				sum := 0.0
+				for i := 0; i < trials; i++ {
+					eng.Reset(net.InitialState(), 0)
+					Run(eng, RunOptions{MaxTime: 10})
+					sum += float64(eng.State()[0])
+				}
+				if mean := sum / trials; math.Abs(mean-c.mean) > tol {
+					t.Errorf("%s %s: E[x0](10) = %v, want %v±%v", c.name, e.name, mean, c.mean, tol)
+				}
 			}
-			if mean := sum / trials; math.Abs(mean-c.mean) > tol {
-				t.Errorf("%s %s: E[x0](10) = %v, want %v±%v", c.name, e.name, mean, c.mean, tol)
-			}
-		}
+		})
 	}
 }
 
