@@ -65,11 +65,11 @@ func BenchmarkFigure5Synthetic(b *testing.B) {
 }
 
 // BenchmarkFigure5SyntheticHybrid regenerates the Figure 5 synthetic series
-// on the hybrid exact/tau-leap engine (sim.Hybrid). Besides the lysogeny
-// percentage it reports trials/s and the speedup over a reused
-// OptimizedDirect engine measured on the same MOI in the same process —
-// the tentpole claim is >= 3x; the relay propagation of the log-module
-// clock/decay pair typically lands 20-40x.
+// on the hybrid engine (sim.Hybrid: the exact race plus analytic relays).
+// Besides the lysogeny percentage it reports trials/s and the speedup over
+// a reused OptimizedDirect engine measured on the same MOI in the same
+// process — the tentpole claim is >= 3x; the relay propagation of the
+// log-module clock/decay pair typically lands 20-40x.
 func BenchmarkFigure5SyntheticHybrid(b *testing.B) {
 	base := lambda.SyntheticModel()
 	hybrid := lambda.SyntheticModel().WithEngine(sim.EngineHybrid)
@@ -544,7 +544,8 @@ func scenarioTrialBench(b *testing.B, s *scenario.Scenario, kind sim.EngineKind)
 
 // scenarioEngineBenches registers the per-engine sub-benchmarks of one
 // scenario: both direct-method engines always, the hybrid only where the
-// scenario's partition characterisation says it can batch anything.
+// scenario's partition characterisation (Scenario.Hybrid) finds a
+// fast-eligible channel.
 func scenarioEngineBenches(b *testing.B, name string) {
 	s, ok := scenario.ByName(name)
 	if !ok {

@@ -1,18 +1,20 @@
 package chem
 
 // This file derives the fast/slow channel partition that sim.Hybrid uses to
-// batch high-throughput channels between exact "decision" events.
+// batch relay channels between exact "decision" events.
 //
 // The partition answers two structural questions about a network, relative
 // to a set of *protected* species (the outcome/threshold species whose
 // distribution an experiment measures):
 //
-//  1. Which channels may be approximated (tau-leaped) without touching the
-//     protected marginal directly? A channel is *fast-eligible* when it
-//     neither produces nor consumes a protected species, and it does not
-//     net-change any species that appears as a reactant of a channel that
-//     does — so the channels that write the observable, and the channels
-//     that feed their propensities, always step exactly.
+//  1. Which channels may be batched without touching the protected
+//     marginal directly? A channel is *fast-eligible* when it neither
+//     produces nor consumes a protected species, and it does not net-change
+//     any species that appears as a reactant of a channel that does — so
+//     the channels that write the observable, and the channels that feed
+//     their propensities, always step exactly. Fast-eligibility is a
+//     precondition for relay membership only: a fast-eligible channel that
+//     belongs to no relay steps exactly too.
 //
 //  2. Which species form *relay* subsystems — linear first-order catenaries
 //     of one or two stages (constant-rate production, unit conversion,
@@ -22,9 +24,9 @@ package chem
 //     networks burn almost all of their events in exactly this shape: the
 //     logarithm module's b → b + a clock feeding the a → ∅ decay.
 type Partition struct {
-	// FastEligible[i] reports whether reaction i may be approximated
-	// (batched) by a hybrid simulator. Non-eligible channels must always be
-	// stepped exactly.
+	// FastEligible[i] reports whether reaction i may be batched by a hybrid
+	// simulator, which it is only as part of a relay. Non-eligible channels
+	// must always be stepped exactly.
 	FastEligible []bool
 	// Relays lists the detected analytically-solvable catenaries, in
 	// increasing order of the upstream species. No species belongs to two.

@@ -130,58 +130,50 @@ func TestHybridBatchesTheSyntheticHotPath(t *testing.T) {
 }
 
 // TestHybridSyntheticWorkCounters pins the hybrid's deterministic work
-// counters on the synthetic model at fixed seeds over MOI {1, 5, 10}. No
-// trial applies a leap chunk (the relay absorbs the clock; every other
-// step is exact), so each does exactly one full propensity recompute, at
-// Reset. The relay is settled at its gating flips and when the race
-// returns, not on every exact step, so a trial makes a handful of
-// propagations over hundreds of steps. Per step only the fired channel's
-// dependency row is re-evaluated; its size depends on the channel, so the
-// evaluation bound holds for the pooled trials, not for each one. Relay
-// activity is re-derived only after Reset and after firings that move a
-// gating input (≈ 0.07 gating scans per exact step), and a leap probe that
-// cannot leap stops at its first failing bound candidate (≈ 0.2
-// candidates per exact step); both bounds are pooled too.
+// counters on the synthetic model at fixed seeds over MOI {1, 5, 10}. The
+// relay absorbs the clock and every other step is exact. The relay is
+// settled at its gating flips and when the race returns, not on every
+// exact step, so a trial makes a handful of propagations over hundreds of
+// steps. Per step only the fired channel's dependency row is re-evaluated;
+// its size depends on the channel, so the evaluation bound holds for the
+// pooled trials, not for each one. Relay activity is re-derived only after
+// Reset and after firings that move a gating input (≈ 0.07 gating scans
+// per exact step); that bound is pooled too.
 func TestHybridSyntheticWorkCounters(t *testing.T) {
 	m := SyntheticModel().WithEngine(sim.EngineHybrid)
 	channels := int64(m.Net.NumReactions())
-	var evals, scans, bounds, steps int64
+	var evals, scans, steps int64
 	for _, moi := range []int64{1, 5, 10} {
 		gen := rng.NewStream(41, 0)
 		h := m.EngineFactoryAt(moi)(gen).(*sim.Hybrid)
 		observe := m.Observer(moi)
-		type counters struct{ full, evals, props, scans, bounds, steps int64 }
+		type counters struct{ evals, props, scans, steps int64 }
 		trial := func(seed uint64) counters {
 			gen.Reseed(41, seed)
 			o := observe(h)
 			if o.Outcome == mc.None {
 				t.Fatalf("MOI %d seed %d: trial unresolved", moi, seed)
 			}
-			return counters{h.FullRecomputes(), h.PropensityEvals(), h.Propagations(),
-				h.GatingScans(), h.LeapBoundEvals(), o.Steps}
+			return counters{h.PropensityEvals(), h.Propagations(), h.GatingScans(), o.Steps}
 		}
 		for seed := uint64(0); seed < 10; seed++ {
 			c := trial(seed)
-			if c.full != 1 {
-				t.Errorf("MOI %d seed %d: %d full recomputes, want 1 (at Reset)", moi, seed, c.full)
-			}
 			if c.props < 1 || c.props > 10 {
 				t.Errorf("MOI %d seed %d: %d relay propagations over %d exact steps, want 1..10",
 					moi, seed, c.props, c.steps)
 			}
 			evals += c.evals - channels
 			scans += c.scans
-			bounds += c.bounds
 			steps += c.steps
-			t.Logf("MOI %2d seed %d: %3d steps, %d propagations, %.2f evaluations/step, %d gating scans, %d bound candidates",
-				moi, seed, c.steps, c.props, float64(c.evals-channels)/float64(c.steps), c.scans, c.bounds)
+			t.Logf("MOI %2d seed %d: %3d steps, %d propagations, %.2f evaluations/step, %d gating scans",
+				moi, seed, c.steps, c.props, float64(c.evals-channels)/float64(c.steps), c.scans)
 		}
 		if a, b := trial(3), trial(3); a != b {
 			t.Errorf("MOI %d: counters differ at one seed: %+v vs %+v", moi, a, b)
 		}
 		h.Reset(m.Net.InitialState(), 0)
-		if n, b := h.GatingScans(), h.LeapBoundEvals(); n != 0 || b != 0 {
-			t.Errorf("MOI %d: after Reset %d gating scans and %d bound candidates, want 0 and 0", moi, n, b)
+		if n := h.GatingScans(); n != 0 {
+			t.Errorf("MOI %d: after Reset %d gating scans, want 0", moi, n)
 		}
 	}
 	perStep := func(n int64) float64 { return float64(n) / float64(steps) }
@@ -191,11 +183,8 @@ func TestHybridSyntheticWorkCounters(t *testing.T) {
 	if s := perStep(scans); s >= 0.25 {
 		t.Errorf("%.3f gating scans per exact step over all trials, want < 0.25", s)
 	}
-	if b := perStep(bounds); b >= 0.5 {
-		t.Errorf("%.3f leap bound candidates per exact step over all trials, want < 0.5", b)
-	}
-	t.Logf("per exact step over all trials: %.2f evaluations, %.3f gating scans, %.3f bound candidates",
-		perStep(evals), perStep(scans), perStep(bounds))
+	t.Logf("per exact step over all trials: %.2f evaluations, %.3f gating scans",
+		perStep(evals), perStep(scans))
 }
 
 // TestHybridSyntheticTrialZeroAllocs extends the sim package's Hybrid

@@ -73,8 +73,9 @@ type Model struct {
 	// SweepMOI. The zero value keeps the historical defaults: Direct for
 	// the per-trial Trial path, OptimizedDirect for the engine-reuse
 	// Characterize path. Set sim.EngineHybrid to race the thresholds on
-	// the partitioned exact/tau-leap engine (the outcome species are
-	// passed as its protected set automatically).
+	// the hybrid engine, which batches the logarithm module's clock as an
+	// exact relay (the outcome species are passed as its protected set
+	// automatically).
 	Engine sim.EngineKind
 }
 

@@ -62,7 +62,7 @@ func (p *PCG) Discrete(weights []float64) int {
 // use Hörmann's PTRS transformed-rejection sampler, which draws from the
 // true Poisson distribution at every mean (a rounded normal, used here
 // previously, has no skew and a truncated left tail — visible bias in
-// tau-leap counts).
+// batched counts). The hybrid's relay births rely on this exactness.
 func (p *PCG) Poisson(mean float64) int64 {
 	switch {
 	case mean < 0 || math.IsNaN(mean):

@@ -61,10 +61,11 @@ type Scenario struct {
 	Seed   uint64
 	// Hybrid characterises partitionability: true iff chem.NewPartition,
 	// with the observable species protected, marks any reaction
-	// fast-eligible — i.e. whether the hybrid engine can batch anything
-	// on this model. The cross-engine matrix includes the hybrid engine
-	// exactly when this is true, and asserts the characterisation still
-	// holds.
+	// fast-eligible — a precondition for a relay, not a relay. On
+	// antithetic and repressilator no relay forms, so the hybrid batches
+	// nothing there and steps as Direct does. The cross-engine matrix
+	// includes the hybrid engine exactly when this is true, and asserts the
+	// characterisation still holds.
 	Hybrid bool
 	// Pins[i] is the statistical contract at Grid[i].
 	Pins []Pin

@@ -38,9 +38,10 @@ const (
 //
 //   - lambda/synthetic — the synthesised lambda model's lysis/lysogeny
 //     race (outcome 0 lysis, 1 lysogeny; param = MOI).
-//   - lambda/synthetic-hybrid — the same race on the partitioned
-//     exact/tau-leap engine (sim.Hybrid): same outcome distribution,
-//     ~tens of times the trial throughput (see docs/engines.md).
+//   - lambda/synthetic-hybrid — the same race on the hybrid engine
+//     (sim.Hybrid, exact race plus analytic relays): same outcome
+//     distribution, ~tens of times the trial throughput (see
+//     docs/engines.md).
 //   - lambda/natural — the natural-model surrogate's race, the trial
 //     behind Model.Characterize and the Figure 5 sweep (param = MOI).
 //   - lambda/moi-curve — the numeric form of the synthesised model's MOI

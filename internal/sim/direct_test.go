@@ -11,7 +11,7 @@ import (
 // engines lists constructors for every engine, for table-driven
 // cross-validation. The hybrid runs with nothing protected, so every
 // channel is fast-eligible: relays propagate analytically and the rest
-// leap or race exactly.
+// race exactly.
 var engines = []struct {
 	name string
 	mk   func(*chem.Network, *rng.PCG) Engine

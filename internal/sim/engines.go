@@ -24,10 +24,9 @@ const (
 	// EngineFirstReaction is Gillespie's first-reaction method: exact,
 	// a cross-validation oracle.
 	EngineFirstReaction EngineKind = "first-reaction"
-	// EngineHybrid is the partitioned exact/tau-leap engine: exact on the
-	// protected (outcome) marginal whenever the fast channels do not write
-	// slow reactants, epsilon-accurate otherwise, and orders of magnitude
-	// faster on clock-dominated networks.
+	// EngineHybrid is the exact race plus analytic relays: exact in
+	// distribution on every network, Direct draw for draw where no relay is
+	// active, and orders of magnitude faster on clock-dominated networks.
 	EngineHybrid EngineKind = "hybrid"
 )
 

@@ -64,7 +64,7 @@ func hybridDigest(c digestCase, trials int) uint64 {
 // digestCases covers every hybrid code path the paper's workloads reach:
 // relay propagation on the synthetic lambda model (MOI 1–10), the
 // relay-free Figure 3 module over its γ grid, the five scenario networks,
-// a conversion-chain race, the generic leap path, leap chunks that gate a
+// a conversion-chain race, relay-free high-copy pools, a pool that gates a
 // relay, and horizon clamps.
 func digestCases(t *testing.T) []digestCase {
 	t.Helper()
@@ -174,13 +174,13 @@ b -> b + a @ 2
 a -> 0 @ 1
 2 x + a -> c + a @ 0.5
 `, nil, 400, 80},
-		// High-copy conversion: the generic tau-leap path.
-		{"leap", `
+		// High-copy conversion: no relay, every event races exactly.
+		{"conversion", `
 x = 50000
 x -> y @ 1
 `, nil, 200, 0.5},
-		// Leaping fast pair racing slow exact channels under a budget.
-		{"leap-mixed", `
+		// High-copy isomerisation racing a slow protected channel.
+		{"pool-mixed", `
 x = 10000
 y = 10000
 s = 50
@@ -188,12 +188,11 @@ x -> y @ 1
 y -> x @ 1
 s -> t @ 0.05
 `, []string{"t"}, 300, 20},
-		// Leap chunks gating a relay: x -> x + g rides the leaping x ⇌ y
+		// A high-copy pool gating a relay: x -> x + g rides the x ⇌ y
 		// pool and feeds g, the non-relay reactant of the relay's dependent
-		// a + g -> a + h (h is unprotected, so g is not guarded and its
-		// feed stays fast-eligible). The relay turns off when a chunk
-		// makes g positive and back on when one drains it.
-		{"leap-gated", `
+		// a + g -> a + h. The relay turns off when the feed makes g
+		// positive and back on when the dependent drains it.
+		{"pool-gated", `
 x = 10000
 y = 10000
 b = 1
@@ -245,10 +244,18 @@ s -> t @ 0.05
 // chain at the horizon with molecules of a standing and inflow on, so its
 // draws come in the new order; chain-race never settles within its 40
 // steps, and every other case has only one-stage relays, so their streams
-// are unchanged. The leap-gated (26) digests were recorded before cgpTau
-// learned to stop at its first candidate that rules out a leap and before
-// relay activity was re-derived only after a firing or leap chunk that can
-// move its inputs; both rules left all 27 digests unchanged.
+// are unchanged. The pool-gated (26) digests were recorded before the leap
+// probe learned to stop at its first candidate that rules out a leap and
+// before relay activity was re-derived only after an event that can move
+// its inputs; both rules left all 27 digests unchanged. The synthetic MOI
+// 2–10 (1–9), scenario/repressilator (18) and three pool (24–26) digests
+// were re-recorded when the hybrid's tau-leap path was deleted: the race
+// total is now one fold over the live channels instead of the exact-class
+// sum plus the leap-class sum, so Time() moves in its last bits while no
+// sweep output does, and the pools, which leaped, now race every event
+// exactly. Synthetic MOI 1, Figure 3, antithetic, plesa, schlogl, toggle,
+// chain-race, chain-gated and relay-gated kept their digests, so relays,
+// gating and settlement are bitwise untouched.
 func TestHybridTrajectoryDigest(t *testing.T) {
 	trials := 4
 	if testing.Short() {
@@ -256,22 +263,22 @@ func TestHybridTrajectoryDigest(t *testing.T) {
 	}
 	want := map[int][]uint64{
 		2: {
-			0xcf0486e02de6e0d2, 0xff09060d463eaf2d, 0x03addbef663b5692, 0xafacf1e5f7d857bb,
-			0x1f733e13d06f97ff, 0x26a59d375bbf8ee8, 0x0faec181379e79ca, 0x80148347cc59b6dc,
-			0x32b2b7c0a95a9721, 0xb8c2be181d1eced0, 0xc8aea2a7ed442057, 0x020f91563997c840,
+			0xcf0486e02de6e0d2, 0xefc0eb350838c06b, 0xad7fe41b80735808, 0xc9bbeb0329ba2840,
+			0xe35285a10b1c08cd, 0xed9b7cc4183e52c8, 0x934b88bd09952cff, 0x60c1d569aa31073f,
+			0xe0da2a59fa7af3d0, 0x42a30cec01134e82, 0xc8aea2a7ed442057, 0x020f91563997c840,
 			0x206f7e83aa2787e5, 0xc099d8e9fe16ec08, 0x80db50a0b888fa2f, 0x817b581af29309bf,
-			0x7ccc38cd6d04d80a, 0xb5437addd6a34f90, 0x99f3cf074daa5b2f, 0x6cc36ad58ea75073,
+			0x7ccc38cd6d04d80a, 0xb5437addd6a34f90, 0x6b759149307c5cb1, 0x6cc36ad58ea75073,
 			0x591b7b1dbeedf1fe, 0xa0c1a33928795922, 0x73e4d42d860d35fa, 0xf3f8cf0fd83d874e,
-			0x4e1052bb968e7e1f, 0x63af8799eb1e6985, 0x1661ca1338184bf4,
+			0x8930f7c20100df68, 0xc10601b9a3575a29, 0xe6f6d79af3addf8a,
 		},
 		4: {
-			0x4c16b4b8ce056459, 0x95d97927a2d44fbe, 0xf50d325336678e42, 0xfbe154319636e9b3,
-			0xc9255e1b4295bac6, 0x7cd4228d350b2dcb, 0x84191ebddb8c1ed6, 0x7201224864e8867a,
-			0xc56b7c2028eebec6, 0xc0966d858be45235, 0x12fbf94804b9ba67, 0x00ea1828ba3a96d2,
+			0x4c16b4b8ce056459, 0x14f3d1cce03fdeb2, 0x5af0a1ccea397fb6, 0x97bd06466581a6c0,
+			0x30470600ed8a7477, 0xccaef1d4c6c7236b, 0xe43e579c0c561b7c, 0xcd1eb0d208b8de8e,
+			0x8482bcc0f650a6f7, 0xff1649c9147ab0e7, 0x12fbf94804b9ba67, 0x00ea1828ba3a96d2,
 			0x2151ed947974857a, 0xd7d8865bfad8e947, 0x68ce00615bdd6929, 0x0ef0ef9934db82ef,
-			0x5b6c2fb672a70a8e, 0xb02e66efcebdf88e, 0x6712a1ae1fef6a2c, 0xc69a54ec855a5687,
+			0x5b6c2fb672a70a8e, 0xb02e66efcebdf88e, 0xe9d4fc0e9beb5476, 0xc69a54ec855a5687,
 			0x05ded7b9805cd8d8, 0xcd9ed2dfed47e036, 0x00cc15e6ee2f1c4e, 0x2fc5e5cc528f41f2,
-			0x1ad1c3ff9e38602b, 0x5a6aee20084e40ed, 0x6b96b4489fd8a8c9,
+			0xcf353a9c12ddce17, 0xb59e6c39d2bedb2c, 0x11f9e7fce8ba5fcd,
 		},
 	}[trials]
 	cases := digestCases(t)

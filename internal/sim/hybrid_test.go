@@ -331,11 +331,11 @@ func TestHybridStepZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestHybridLeapsNonRelayFastChannels: a high-copy pure-conversion channel
-// is no relay (its sink has a product), so it must go through the generic
-// leap path — and still land on the analytic moments: x(t) ~
-// Binomial(x0, e^{-kt}).
-func TestHybridLeapsNonRelayFastChannels(t *testing.T) {
+// TestHybridStepsNonRelayChannelsExactly: a high-copy pure-conversion
+// channel is no relay (its sink has a product), so the hybrid batches
+// nothing and steps every conversion exactly — landing on the analytic
+// moments: x(t) ~ Binomial(x0, e^{-kt}).
+func TestHybridStepsNonRelayChannelsExactly(t *testing.T) {
 	net := chem.MustParseNetwork(`
 x = 50000
 x -> y @ 1
@@ -364,17 +364,62 @@ x -> y @ 1
 	mean := sum / trials
 	variance := sumSq/trials - mean*mean
 	if math.Abs(mean-wantMean)/wantMean > 0.01 {
-		t.Errorf("leap-path mean = %.0f, want ~%.0f", mean, wantMean)
+		t.Errorf("mean = %.0f, want ~%.0f", mean, wantMean)
 	}
 	if variance < wantVar/3 || variance > 3*wantVar {
-		t.Errorf("leap-path variance = %.0f, want within 3x of %.0f", variance, wantVar)
+		t.Errorf("variance = %.0f, want within 3x of %.0f", variance, wantVar)
 	}
-	if h.FastEvents() == 0 {
-		t.Error("no events batched: generic leaping never engaged")
+	if n := h.FastEvents(); n != 0 {
+		t.Errorf("%d fast events without a relay, want 0", n)
 	}
-	// Reset recomputes every propensity once; each applied leap chunk
-	// moves many species at once and recomputes them all again.
-	if n := h.FullRecomputes(); n < 2 {
-		t.Errorf("FullRecomputes = %d after a leaping trial, want Reset's plus one per applied chunk", n)
+}
+
+// runHybrid steps h to horizon and returns the final state.
+func runHybrid(h *Hybrid, horizon float64) chem.State {
+	for {
+		if _, status := h.Step(horizon); status != Fired {
+			return h.State()
+		}
+	}
+}
+
+// TestTauLeapHybridConvergenceToAnalyticMoments: on a birth-death network
+// with known analytic moments — immigration at λ, per-molecule death at μ,
+// started at the fixed point λ/μ — the law at the horizon is (very nearly)
+// Poisson(λ/μ): mean = var = λ/μ. The hybrid recognises the pair as a
+// relay and is exact, so at three seeds both moments sit inside Monte Carlo
+// noise.
+func TestTauLeapHybridConvergenceToAnalyticMoments(t *testing.T) {
+	net := chem.MustParseNetwork(`
+a = 2000
+0 -> a @ 2000
+a -> 0 @ 1
+`)
+	const (
+		horizon = 4.0
+		trials  = 400
+		wantM   = 2000.0
+	)
+	// Exact transient variance from a0 = λ/μ.
+	wantV := 2000*(1-math.Exp(-horizon)) + 2000*math.Exp(-horizon)*(1-math.Exp(-horizon))
+	for k := 0; k < 3; k++ {
+		seed := uint64(600 + k)
+		h := NewHybrid(net, nil, rng.New(seed))
+		var sum, sumSq float64
+		for i := 0; i < trials; i++ {
+			h.Reset(net.InitialState(), 0)
+			v := float64(runHybrid(h, horizon)[0])
+			sum += v
+			sumSq += v * v
+		}
+		hm := sum / trials
+		hv := sumSq/trials - hm*hm
+		t.Logf("seed %d: hybrid mean %.1f, var %.1f", seed, hm, hv)
+		if math.Abs(hm-wantM) > 0.02*wantM {
+			t.Errorf("seed %d: hybrid mean %.1f, want ~%g", seed, hm, wantM)
+		}
+		if hv < wantV/2 || hv > 2*wantV {
+			t.Errorf("seed %d: hybrid var %.1f, want ~%.1f (exact relay)", seed, hv, wantV)
+		}
 	}
 }

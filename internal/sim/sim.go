@@ -1,6 +1,6 @@
 // Package sim implements stochastic simulation of chemical reaction
 // networks (the "Monte Carlo simulations" of the paper): three exact engines
-// and a hybrid that is exact on the outcome species.
+// and a hybrid that batches relays exactly.
 //
 // Engines:
 //
@@ -10,10 +10,11 @@
 //     affected propensities are refreshed — exact, faster on wide networks.
 //   - FirstReaction: Gillespie's first-reaction method — exact, mainly a
 //     cross-validation oracle (it consumes randomness very differently).
-//   - Hybrid: partitioned exact/tau-leap engine — exact next-event race
-//     over the channels that decide the observable, analytic relay
-//     propagation and CGP-controlled leaping for the high-throughput rest
-//     (see docs/engines.md for the exactness guarantee).
+//   - Hybrid: exact next-event race over every channel no active relay
+//     handles, plus exact analytic propagation of the relays — linear
+//     first-order stretches such as a clock feeding a decay. Exact in
+//     distribution; with no relay active it steps as Direct does (see
+//     docs/engines.md for the exactness guarantee).
 //
 // All engines are deterministic given a seeded *rng.PCG and are not safe for
 // concurrent use; parallel Monte Carlo creates one engine per worker (see
