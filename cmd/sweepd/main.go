@@ -53,7 +53,8 @@
 //	-retries R     re-dispatch attempts per failing shard (default 1)
 //	-list          print the registered sweep ids and exit
 //
-// Flags (model mode, replacing -sweep):
+// Flags (model mode, replacing -sweep; a registered -sweep fixes its own
+// engine and observable, so it rejects them):
 //
 //	-model FILE         network in the chem reaction-text format
 //	-obs KIND           observable kind: race or endpoint
@@ -125,6 +126,14 @@ func main() {
 		paramSpecies: *paramSpecies, paramRate: *paramRate,
 		engine: *engine, maxSteps: *maxSteps, hist: *hist,
 	}
+	// Visit sees only the flags given on the command line, so -obs counts
+	// even when it repeats its default.
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "obs", "obs-a", "obs-b", "obs-value", "param-species", "param-rate", "engine", "max-steps", "hist":
+			modelSpec.explicit = append(modelSpec.explicit, "-"+f.Name)
+		}
+	})
 	switch {
 	case *list:
 		for _, name := range reg.Names() {
@@ -155,6 +164,7 @@ type modelFlags struct {
 	engine                  string
 	maxSteps                int64
 	hist                    string
+	explicit                []string // the model flags given on the command line
 }
 
 // networkSpec builds and validates the wire payload from the -model
@@ -283,6 +293,9 @@ func coordinate(reg *shard.Registry, sweep string, model modelFlags, params stri
 	}
 	if sweep != "" && model.path != "" {
 		return fmt.Errorf("-sweep and -model are mutually exclusive")
+	}
+	if sweep != "" && len(model.explicit) > 0 {
+		return fmt.Errorf("%s apply only with -model; -sweep %s fixes its own engine and observable", strings.Join(model.explicit, ", "), sweep)
 	}
 	if procs && workers != "" {
 		return fmt.Errorf("-procs and -workers are mutually exclusive")

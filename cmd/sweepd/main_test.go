@@ -464,6 +464,45 @@ func TestUnknownSweepFailsFastListingBuiltins(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsModelFlags: a registered -sweep fixes its own engine and
+// observable, so coordinator mode must reject any model flag given with
+// it, naming each one, before any shard runs — even -obs at its default
+// value. Ignoring them would run a different engine or observable than the
+// command asks for.
+func TestSweepRejectsModelFlags(t *testing.T) {
+	bin := buildSweepd(t)
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"-sweep", "lambda/natural", "-engine", "bogus", "-hist", "0:1:10", "-obs-a", "x:3", "-params", "1", "-trials", "20"},
+			[]string{"-engine", "-hist", "-obs-a"}},
+		{[]string{"-sweep", "lambda/natural", "-engine", "hybrid", "-params", "1", "-trials", "20"},
+			[]string{"-engine"}},
+		{[]string{"-sweep", "lambda/natural", "-obs", "race", "-obs-b", "y:1", "-obs-value", "y",
+			"-param-species", "y", "-param-rate", "k", "-max-steps", "9", "-params", "1", "-trials", "20"},
+			[]string{"-obs", "-obs-b", "-obs-value", "-param-species", "-param-rate", "-max-steps"}},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		exitErr, ok := err.(*exec.ExitError)
+		if !ok || exitErr.ExitCode() != 1 {
+			t.Fatalf("%v: want exit code 1, got %v\nstdout:\n%s", tc.args, err, stdout.String())
+		}
+		for _, name := range tc.want {
+			if !strings.Contains(stderr.String(), name+",") && !strings.Contains(stderr.String(), name+" ") {
+				t.Errorf("%v: stderr %q does not name %s", tc.args, stderr.String(), name)
+			}
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: sweep appears to have run before the failure:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
 // TestZeroTrialSweepsRender: a zero-trial sweep is legal and must render
 // its table with zero estimates — not NaN from a 0/0 fraction, and not a
 // panic on the empty distribution summary's missing outcome classes.
@@ -488,10 +527,11 @@ func TestZeroTrialSweepsRender(t *testing.T) {
 
 // TestRelayChainFixtureShapes keeps testdata/relay-chain.crn (the CI
 // hybrid smoke sweep's model) honest: with the racers protected, the
-// hybrid partition finds one one-stage relay and one two-stage relay, each
-// gated by one catalytic dependent, and in trials of the race both
-// dependents burn their fuel and block before the race is decided, so
-// both relays are propagated analytically.
+// hybrid partition finds exactly one relay, on a, gated by one catalytic
+// dependent, while the conversion chain p → q → ∅ belongs to no relay and
+// races exactly. In trials of the race both dependents burn their fuel and
+// block before the race is decided, so the relay is propagated
+// analytically beside a chain that steps exactly.
 func TestRelayChainFixtureShapes(t *testing.T) {
 	src, err := os.ReadFile(filepath.Join("testdata", "relay-chain.crn"))
 	if err != nil {
@@ -505,26 +545,18 @@ func TestRelayChainFixtureShapes(t *testing.T) {
 	gen := rng.NewStream(7, 0)
 	h := sim.NewHybrid(net, []chem.Species{o1, o2}, gen)
 	relays := h.Partition().Relays
-	if len(relays) != 2 {
-		t.Fatalf("relays = %+v, want a one-stage and a two-stage relay", relays)
+	for _, r := range relays {
+		for _, name := range []string{"p", "q"} {
+			if r.A == net.MustSpecies(name) {
+				t.Errorf("chain species %s forms a relay: %+v", name, r)
+			}
+		}
 	}
-	for _, want := range []struct{ a, b string }{{"a", ""}, {"p", "q"}} {
-		found := false
-		for _, r := range relays {
-			if r.A != net.MustSpecies(want.a) {
-				continue
-			}
-			found = true
-			if (want.b == "") != (r.B < 0) || (r.B >= 0 && r.B != net.MustSpecies(want.b)) {
-				t.Errorf("relay on %s has downstream %d, want %q", want.a, r.B, want.b)
-			}
-			if len(r.Dependents) != 1 {
-				t.Errorf("relay on %s has dependents %v, want one", want.a, r.Dependents)
-			}
-		}
-		if !found {
-			t.Errorf("no relay on %s: %+v", want.a, relays)
-		}
+	if len(relays) != 1 || relays[0].A != net.MustSpecies("a") {
+		t.Fatalf("relays = %+v, want exactly one, on a", relays)
+	}
+	if deps := relays[0].Dependents; len(deps) != 1 {
+		t.Errorf("relay on a has dependents %v, want one", deps)
 	}
 	x, z := net.MustSpecies("x"), net.MustSpecies("z")
 	ths := []sim.SpeciesThreshold{{Species: o1, Count: 6}, {Species: o2, Count: 6}}
@@ -542,7 +574,7 @@ func TestRelayChainFixtureShapes(t *testing.T) {
 		}
 	}
 	if blocked < trials/2 {
-		t.Errorf("both dependents blocked and relays propagated in %d of %d trials, want most", blocked, trials)
+		t.Errorf("both dependents blocked and the relay propagated in %d of %d trials, want most", blocked, trials)
 	}
 	t.Logf("both dependents blocked before the race was decided in %d of %d trials", blocked, trials)
 }

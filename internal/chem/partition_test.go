@@ -40,20 +40,17 @@ func TestPartitionSyntheticShape(t *testing.T) {
 		t.Fatalf("relays = %+v, want exactly one (species a)", p.Relays)
 	}
 	r := p.Relays[0]
-	if r.A != net.MustSpecies("a") || r.B != -1 {
-		t.Fatalf("relay species = (%d, %d), want a alone (one stage)", r.A, r.B)
+	if r.A != net.MustSpecies("a") {
+		t.Fatalf("relay species = %d, want a", r.A)
 	}
 	if len(r.Producers) != 1 || r.Producers[0] != 0 {
 		t.Errorf("relay producers = %v, want [0] (the clock)", r.Producers)
 	}
-	if len(r.ASinks) != 1 || r.ASinks[0] != 1 || r.MuA != 1000 {
-		t.Errorf("relay sinks = %v rate %v, want [1] rate 1000", r.ASinks, r.MuA)
+	if len(r.Sinks) != 1 || r.Sinks[0] != 1 || r.Mu != 1000 {
+		t.Errorf("relay sinks = %v rate %v, want [1] rate 1000", r.Sinks, r.Mu)
 	}
 	if len(r.Dependents) != 1 || r.Dependents[0] != 2 {
 		t.Errorf("relay dependents = %v, want [2] (the halving channel)", r.Dependents)
-	}
-	if len(r.Convert)+len(r.BSinks)+len(r.BProducers) != 0 {
-		t.Errorf("one-stage relay has second-stage channels: %+v", r)
 	}
 }
 
@@ -84,11 +81,11 @@ a -> 0 @ 0.5
 		t.Fatalf("relays = %+v, want one", p.Relays)
 	}
 	r := p.Relays[0]
-	if r.MuA != 0.5 || len(r.Dependents) != 0 {
+	if r.Mu != 0.5 || len(r.Dependents) != 0 {
 		t.Fatalf("relay = %+v", r)
 	}
-	if len(r.Producers) != 1 || r.Producers[0] != 0 || len(r.ASinks) != 1 || r.ASinks[0] != 1 {
-		t.Fatalf("both channels should be relay-handled: producers %v, sinks %v", r.Producers, r.ASinks)
+	if len(r.Producers) != 1 || r.Producers[0] != 0 || len(r.Sinks) != 1 || r.Sinks[0] != 1 {
+		t.Fatalf("both channels should be relay-handled: producers %v, sinks %v", r.Producers, r.Sinks)
 	}
 }
 

@@ -12,12 +12,13 @@ import (
 // first-order kinetics — and everything else, which steps as one exact
 // next-event race.
 //
-// Relays (chem.Relay) are one- or two-stage linear first-order catenaries,
-// like the synthesised logarithm module's b → b + a clock and its a → ∅
-// partner, or a conversion chain a → b → ∅. While every catalytic reader of
-// a relay is blocked, the relay is active: its channels leave the race and
-// its species advance with the exact closed-form transient law, Poisson
-// births thinned by sequential exponential survival (see propagate).
+// Relays (chem.Relay) are immigration–death processes on one species, like
+// the synthesised logarithm module's b → b + a clock and its a → ∅
+// partner. While every catalytic reader of a relay is blocked, the relay is
+// active: its channels leave the race and its species advances with the
+// exact closed-form transient law, Poisson births thinned by exponential
+// survival (see propagate). Any other shape, a conversion chain a → b → ∅
+// included, steps in the exact race.
 //
 // Relays are settled lazily. Nothing outside an active relay reads its
 // species, so each step only adds its elapsed time to an owed interval,
@@ -61,12 +62,10 @@ type Hybrid struct {
 	t     float64
 
 	// Partition data remapped into compiled channel indices.
-	relayProds     [][]int32 // per relay: constant-propensity A producers
-	relayBProds    [][]int32 // per relay: constant-propensity direct B producers
+	relayProds     [][]int32 // per relay: constant-propensity producers
 	relayDeps      [][]int32 // per relay: catalytic dependent channels
 	relayActive    []bool
-	relayLamA      []float64 // per relay: summed A-producer propensity
-	relayLamB      []float64 // per relay: summed direct-B-producer propensity
+	relayLam       []float64 // per relay: summed producer propensity
 	relayOfChannel []int     // channel → owning relay index, or -1
 	isRelaySpecies []bool    // species owned by a relay
 
@@ -129,10 +128,8 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 	// channels once, so the hot loops never translate.
 	n := len(h.part.Relays)
 	h.relayActive = make([]bool, n)
-	h.relayLamA = make([]float64, n)
-	h.relayLamB = make([]float64, n)
+	h.relayLam = make([]float64, n)
 	h.relayProds = make([][]int32, n)
-	h.relayBProds = make([][]int32, n)
 	h.relayDeps = make([][]int32, n)
 	h.isRelaySpecies = make([]bool, comp.NumSpecies())
 	h.relayOfChannel = make([]int, comp.NumChannels())
@@ -142,19 +139,12 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 	for k := range h.part.Relays {
 		r := &h.part.Relays[k]
 		h.isRelaySpecies[r.A] = true
-		if r.B >= 0 {
-			h.isRelaySpecies[r.B] = true
-		}
 		for _, i := range r.Producers {
 			h.relayProds[k] = append(h.relayProds[k], comp.Channel[i])
+			h.relayOfChannel[comp.Channel[i]] = k
 		}
-		for _, i := range r.BProducers {
-			h.relayBProds[k] = append(h.relayBProds[k], comp.Channel[i])
-		}
-		for _, set := range [][]int{r.Producers, r.BProducers, r.Convert, r.ASinks, r.BSinks} {
-			for _, i := range set {
-				h.relayOfChannel[comp.Channel[i]] = k
-			}
+		for _, i := range r.Sinks {
+			h.relayOfChannel[comp.Channel[i]] = k
 		}
 		for _, i := range r.Dependents {
 			h.relayDeps[k] = append(h.relayDeps[k], comp.Channel[i])
@@ -177,11 +167,9 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 				}
 			}
 		}
-		for _, prods := range [][]int32{h.relayProds[k], h.relayBProds[k]} {
-			for _, pr := range prods {
-				for j := comp.ReactStart[pr]; j < comp.ReactStart[pr+1]; j++ {
-					gating[comp.ReactSpecies[j]] = true
-				}
+		for _, pr := range h.relayProds[k] {
+			for j := comp.ReactStart[pr]; j < comp.ReactStart[pr+1]; j++ {
+				gating[comp.ReactSpecies[j]] = true
 			}
 		}
 	}
@@ -317,19 +305,16 @@ func (h *Hybrid) deriveRelays() {
 				break
 			}
 		}
-		lamA, lamB := 0.0, 0.0
+		lam := 0.0
 		if active {
 			for _, pr := range h.relayProds[k] {
-				lamA += h.prop[pr]
-			}
-			for _, pr := range h.relayBProds[k] {
-				lamB += h.prop[pr]
+				lam += h.prop[pr]
 			}
 		}
-		if active != h.relayActive[k] || lamA != h.relayLamA[k] || lamB != h.relayLamB[k] {
+		if active != h.relayActive[k] || lam != h.relayLam[k] {
 			h.settle()
 			changed = changed || active != h.relayActive[k]
-			h.relayActive[k], h.relayLamA[k], h.relayLamB[k] = active, lamA, lamB
+			h.relayActive[k], h.relayLam[k] = active, lam
 		}
 	}
 	// A settlement moved relay species: bring their readers current
@@ -463,9 +448,9 @@ func (h *Hybrid) halt(status StepStatus) (int, StepStatus) {
 
 // settle advances every active relay over the owed interval, under the
 // activity and rates stored for it, and clears the debt. The stored values
-// held for the whole interval, and the catenary transients compose over
-// consecutive intervals (Chapman–Kolmogorov), so one draw has the law of a
-// draw per step.
+// held for the whole interval, and the immigration–death transients compose
+// over consecutive intervals (Chapman–Kolmogorov), so one draw has the law
+// of a draw per step.
 //
 //stochlint:noalloc
 func (h *Hybrid) settle() {
@@ -479,31 +464,17 @@ func (h *Hybrid) settle() {
 	}
 }
 
-// propagate advances every active relay over dt with the exact transient
-// law of its linear catenary under frozen externals, and reports whether
-// any relay was active. Per molecule of A at time 0, with total A-exit
-// hazard μa, conversion fraction q = ConvRate/μa, and B-decay hazard μb:
+// propagate advances every active relay over dt with the exact
+// immigration–death transient under frozen externals, and reports whether
+// any relay was active. With inflow λ and per-molecule death hazard μ, it
+// draws Poisson(λ·dt) births, Binomial survivors of the standing count at
+// e^{−μ·dt}, and Binomial survivors of the births at the uniform-arrival
+// probability (1 − e^{−μ·dt})/(μ·dt). Every draw is exact (pinned by the
+// chi-square suites in hybrid_test.go and hybrid_settle_test.go).
 //
-//	P(still A at dt)    = e^{−μa·dt}
-//	P(alive as B at dt) = q·μa·(e^{−μb·dt} − e^{−μa·dt})/(μa − μb)
-//
-// (the μa ≈ μb limit q·μ·dt·e^{−μ·dt} is substituted when the hazards are
-// within relative 1e-9, where the difference quotient loses precision).
-// Stage A draws Poisson(λa·dt) births, Binomial survivors of the standing
-// count, and Binomial survivors of the births at the uniform-arrival
-// probability (1 − e^{−μa·dt})/(μa·dt) — the immigration-death transient.
-// A two-stage relay then splits each group's exits into conversions that
-// are alive as B and molecules that are gone, by the conditional
-// probabilities of the closed form (time-averaged over a uniform arrival
-// for births), and draws B's own survivors and its direct births the way
-// stage A does. Every draw is exact (pinned by the chi-square suites in
-// hybrid_test.go and hybrid_chain_test.go).
-//
-// FastEvents accounting is telemetry: births of A and B, A exits, and
-// deaths of molecules that were B at the start or born as B each count one
-// firing; a molecule that converts and then dies within dt is tallied once,
-// not twice. A two-stage tally therefore depends on how the trajectory is cut
-// into settled intervals, unlike a one-stage tally.
+// FastEvents counts each birth and each death as one firing. It is
+// telemetry, equal in distribution wherever the trajectory is cut into
+// settled intervals.
 //
 //stochlint:noalloc
 func (h *Hybrid) propagate(dt float64) (advanced bool) {
@@ -513,72 +484,24 @@ func (h *Hybrid) propagate(dt float64) (advanced bool) {
 		}
 		advanced = true
 		r := &h.part.Relays[k]
-		xa, lamA := h.state[r.A], h.relayLamA[k]
-		var xb int64
-		if r.B >= 0 {
-			xb = h.state[r.B]
-		}
-		lamB := h.relayLamB[k]
-		if xa == 0 && xb == 0 && lamA <= 0 && lamB <= 0 {
+		x, lam := h.state[r.A], h.relayLam[k]
+		if x == 0 && lam <= 0 {
 			continue
 		}
-		adt := r.MuA * dt
-		eA := math.Exp(-adt)
-		pBarA := -math.Expm1(-adt) / adt
-		var nA, sA, sA2 int64
-		if lamA > 0 {
-			nA = h.gen.Poisson(lamA * dt)
+		mdt := r.Mu * dt
+		var births, survivors, bornSurvivors int64
+		if lam > 0 {
+			births = h.gen.Poisson(lam * dt)
 		}
-		if xa > 0 {
-			sA = h.gen.Binomial(xa, eA)
+		if x > 0 {
+			survivors = h.gen.Binomial(x, math.Exp(-mdt))
 		}
-		if nA > 0 {
-			sA2 = h.gen.Binomial(nA, pBarA)
+		if births > 0 {
+			bornSurvivors = h.gen.Binomial(births, -math.Expm1(-mdt)/mdt)
 		}
-		h.state[r.A] = sA + sA2
-		h.fastEvents += nA + (xa - sA) + (nA - sA2)
+		h.state[r.A] = survivors + bornSurvivors
+		h.fastEvents += births + (x - survivors) + (births - bornSurvivors)
 		h.pendingRelay = true
-		if r.B < 0 {
-			continue
-		}
-
-		muA, muB := r.MuA, r.MuB
-		q := r.ConvRate / muA
-		bdt := muB * dt
-		eB := math.Exp(-bdt)
-		var pAB, pBarAB float64 // alive-as-B: age-0 molecule / uniform arrival
-		if diff := muA - muB; math.Abs(diff) > 1e-9*math.Max(muA, muB) {
-			pAB = q * muA * (eB - eA) / diff
-			pBarAB = q * muA / diff * ((1-eB)/muB - (1-eA)/muA) / dt
-		} else {
-			mdt := 0.5 * (adt + bdt)
-			e := math.Exp(-mdt)
-			pAB = q * mdt * e
-			pBarAB = q * (1 - e*(1+mdt)) / mdt
-		}
-		pBarB := -math.Expm1(-bdt) / bdt
-		var cAB, cAB2, sB, nB, sB2 int64
-		if exits := xa - sA; exits > 0 {
-			if pd := 1 - eA; pd > 0 {
-				cAB = h.gen.Binomial(exits, math.Min(1, pAB/pd)) // conditional on having exited A
-			}
-		}
-		if exits := nA - sA2; exits > 0 {
-			if pd := 1 - pBarA; pd > 0 {
-				cAB2 = h.gen.Binomial(exits, math.Min(1, pBarAB/pd))
-			}
-		}
-		if xb > 0 {
-			sB = h.gen.Binomial(xb, eB)
-		}
-		if lamB > 0 {
-			nB = h.gen.Poisson(lamB * dt)
-			if nB > 0 {
-				sB2 = h.gen.Binomial(nB, pBarB)
-			}
-		}
-		h.state[r.B] = sB + cAB + cAB2 + sB2
-		h.fastEvents += nB + (xb - sB) + (nB - sB2)
 	}
 	return advanced
 }

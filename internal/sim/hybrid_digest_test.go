@@ -61,11 +61,39 @@ func hybridDigest(c digestCase, trials int) uint64 {
 	return dg.Sum64()
 }
 
+// Conversion chains are no relay, so the hybrid races their channels
+// exactly. chainRaceCRN burns events in a chain around a slow race;
+// chainGatedCRN's chain has a catalytic reader that blocks mid-trial.
+const (
+	chainRaceCRN = `
+src = 1
+e1 = 60
+e2 = 40
+f1 = 10
+f2 = 10
+src -> src + a @ 0.0001
+a -> c @ 8
+a -> 0 @ 2
+c -> 0 @ 10
+e1 -> d1 @ 1e-9
+e2 -> d2 @ 1e-9
+d1 + f1 -> d1 + o1 @ 1e-9
+d2 + f2 -> d2 + o2 @ 1e-9
+`
+	chainGatedCRN = `
+x = 40
+0 -> a @ 4
+a -> c @ 2
+c -> 0 @ 1
+2 x + c -> y + c @ 0.5
+`
+)
+
 // digestCases covers every hybrid code path the paper's workloads reach:
 // relay propagation on the synthetic lambda model (MOI 1–10), the
 // relay-free Figure 3 module over its γ grid, the five scenario networks,
-// a conversion-chain race, relay-free high-copy pools, a pool that gates a
-// relay, and horizon clamps.
+// two conversion chains that race exactly, relay-free high-copy pools, a
+// pool that gates a relay, and horizon clamps.
 func digestCases(t *testing.T) []digestCase {
 	t.Helper()
 	var cases []digestCase
@@ -141,31 +169,8 @@ func digestCases(t *testing.T) []digestCase {
 		steps     int
 		horizon   float64
 	}{
-		// Conversion chain burning events around a slow race (the
-		// hybrid_chain_test race network).
-		{"chain-race", `
-src = 1
-e1 = 60
-e2 = 40
-f1 = 10
-f2 = 10
-src -> src + a @ 0.0001
-a -> c @ 8
-a -> 0 @ 2
-c -> 0 @ 10
-e1 -> d1 @ 1e-9
-e2 -> d2 @ 1e-9
-d1 + f1 -> d1 + o1 @ 1e-9
-d2 + f2 -> d2 + o2 @ 1e-9
-`, []string{"o1", "o2"}, 40, sim.NoHorizon()},
-		// Chain with a live catalytic dependent: gating flips mid-trial.
-		{"chain-gated", `
-x = 40
-0 -> a @ 4
-a -> c @ 2
-c -> 0 @ 1
-2 x + c -> y + c @ 0.5
-`, nil, 400, 60},
+		{"chain-race", chainRaceCRN, []string{"o1", "o2"}, 40, sim.NoHorizon()},
+		{"chain-gated", chainGatedCRN, nil, 400, 60},
 		// Relay with a live catalytic dependent, clamped at a horizon.
 		{"relay-gated", `
 b = 1
@@ -230,32 +235,25 @@ s -> t @ 0.05
 // FastEvents() and the generator position after each trial. The digests
 // were recorded before the engine's propensities became incremental and
 // its channel classes cached; matching them shows that change left every
-// stream bit for bit unchanged. The synthetic (0–9) and chain-race (21)
-// digests were re-recorded when relay and chain propagation became lazy:
-// there an active relay or chain spans many exact steps, so it now takes
-// one transient draw per settlement instead of one per step, and State()
-// shows its species as of the last settlement. Every other case never
-// owes an active relay or chain across a fired step and kept its digest.
-// The chain-gated (22) digests were re-recorded when chains became
-// two-stage relays: one propagator now draws stage A in the relay order
-// (Poisson births, then Binomial survivors of the standing and of the
-// newborn molecules) before stage B's conversions, where the chain
-// propagator drew the standing molecules first. chain-gated settles its
-// chain at the horizon with molecules of a standing and inflow on, so its
-// draws come in the new order; chain-race never settles within its 40
-// steps, and every other case has only one-stage relays, so their streams
-// are unchanged. The pool-gated (26) digests were recorded before the leap
-// probe learned to stop at its first candidate that rules out a leap and
-// before relay activity was re-derived only after an event that can move
-// its inputs; both rules left all 27 digests unchanged. The synthetic MOI
-// 2–10 (1–9), scenario/repressilator (18) and three pool (24–26) digests
-// were re-recorded when the hybrid's tau-leap path was deleted: the race
-// total is now one fold over the live channels instead of the exact-class
-// sum plus the leap-class sum, so Time() moves in its last bits while no
-// sweep output does, and the pools, which leaped, now race every event
-// exactly. Synthetic MOI 1, Figure 3, antithetic, plesa, schlogl, toggle,
-// chain-race, chain-gated and relay-gated kept their digests, so relays,
-// gating and settlement are bitwise untouched.
+// stream bit for bit unchanged, as did re-deriving relay activity only
+// after an event that can move its inputs. Later changes re-recorded only
+// the cases whose streams they moved on purpose:
+//
+//   - synthetic (0–9), when relay propagation became lazy: an active relay
+//     spans many exact steps, so it takes one transient draw per
+//     settlement instead of one per step, and State() shows its species as
+//     of the last settlement;
+//   - synthetic MOI 2–10 (1–9), scenario/repressilator (18) and the three
+//     pools (24–26), when the tau-leap path was deleted: the race total is
+//     one fold over the live channels instead of the exact-class sum plus
+//     the leap-class sum, so Time() moves in its last bits while no sweep
+//     output does, and the pools, which leaped, race every event exactly;
+//   - chain-race (21) and chain-gated (22), when relays became one-stage
+//     immigration–death processes only: the chains are no longer relays,
+//     so they race exactly, as Direct does
+//     (TestHybridWithoutRelayStepsAsDirect). The other 25 kept their
+//     digests, so one-stage propagation, gating and settlement are
+//     bitwise untouched.
 func TestHybridTrajectoryDigest(t *testing.T) {
 	trials := 4
 	if testing.Short() {
@@ -268,7 +266,7 @@ func TestHybridTrajectoryDigest(t *testing.T) {
 			0xe0da2a59fa7af3d0, 0x42a30cec01134e82, 0xc8aea2a7ed442057, 0x020f91563997c840,
 			0x206f7e83aa2787e5, 0xc099d8e9fe16ec08, 0x80db50a0b888fa2f, 0x817b581af29309bf,
 			0x7ccc38cd6d04d80a, 0xb5437addd6a34f90, 0x6b759149307c5cb1, 0x6cc36ad58ea75073,
-			0x591b7b1dbeedf1fe, 0xa0c1a33928795922, 0x73e4d42d860d35fa, 0xf3f8cf0fd83d874e,
+			0x591b7b1dbeedf1fe, 0x30b8a8ef29adcd6f, 0xe96a7900d8ab20d6, 0xf3f8cf0fd83d874e,
 			0x8930f7c20100df68, 0xc10601b9a3575a29, 0xe6f6d79af3addf8a,
 		},
 		4: {
@@ -277,7 +275,7 @@ func TestHybridTrajectoryDigest(t *testing.T) {
 			0x8482bcc0f650a6f7, 0xff1649c9147ab0e7, 0x12fbf94804b9ba67, 0x00ea1828ba3a96d2,
 			0x2151ed947974857a, 0xd7d8865bfad8e947, 0x68ce00615bdd6929, 0x0ef0ef9934db82ef,
 			0x5b6c2fb672a70a8e, 0xb02e66efcebdf88e, 0xe9d4fc0e9beb5476, 0xc69a54ec855a5687,
-			0x05ded7b9805cd8d8, 0xcd9ed2dfed47e036, 0x00cc15e6ee2f1c4e, 0x2fc5e5cc528f41f2,
+			0x05ded7b9805cd8d8, 0x1e71d1d3eb0ec341, 0x7827e3f87c03b45b, 0x2fc5e5cc528f41f2,
 			0xcf353a9c12ddce17, 0xb59e6c39d2bedb2c, 0x11f9e7fce8ba5fcd,
 		},
 	}[trials]

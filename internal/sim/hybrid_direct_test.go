@@ -19,7 +19,8 @@ import (
 // status, Time() bits and state. The networks cover the five scenarios
 // (observable protected and nothing protected), a high-copy conversion,
 // a fast isomerisation racing a slow protected channel, a consuming
-// bimolecular pair and a small isomerisation.
+// bimolecular pair, a small isomerisation, and three conversion chains,
+// which are no relay: a catenary a → b → ∅ and the two digest chains.
 func TestHybridWithoutRelayStepsAsDirect(t *testing.T) {
 	type relayFree struct {
 		name    string
@@ -74,6 +75,17 @@ a = 30
 a -> b @ 2
 b -> a @ 1
 `, nil},
+		{"catenary", `
+a = 3
+b = 2
+0 -> a @ 4
+a -> b @ 1.5
+a -> 0 @ 0.5
+b -> 0 @ 0.25
+0 -> b @ 0.1
+`, nil},
+		{"chain-race", chainRaceCRN, []string{"o1", "o2"}},
+		{"chain-gated", chainGatedCRN, nil},
 	} {
 		net := chem.MustParseNetwork(tc.src)
 		cases = append(cases, relayFree{tc.name, net, net.InitialState(), tc.protect})

@@ -66,6 +66,48 @@ func sampleMean(xs []int64) (mean, stderr float64) {
 	return mean, math.Sqrt((sumSq/n - mean*mean) / n)
 }
 
+// homogeneityChi2 computes the pooled two-sample chi-square between equal-
+// size samples x and y, merging sparse cells (pooled total < 10) into their
+// right neighbour, and returns the statistic with an approximate critical
+// value: df + 4.5·√(2·df), the normal tail approximation at roughly
+// significance 3e-6 — loose enough to never flake on sampling noise, tight
+// enough that a wrong transient law (which shifts whole cells) fails hard.
+func homogeneityChi2(x, y []int64) (stat, crit float64) {
+	var mx, my []int64
+	var ax, ay int64
+	for i := range x {
+		ax += x[i]
+		ay += y[i]
+		if ax+ay >= 10 {
+			mx = append(mx, ax)
+			my = append(my, ay)
+			ax, ay = 0, 0
+		}
+	}
+	if ax+ay > 0 && len(mx) > 0 {
+		mx[len(mx)-1] += ax
+		my[len(my)-1] += ay
+	}
+	var nx, ny int64
+	for i := range mx {
+		nx += mx[i]
+		ny += my[i]
+	}
+	for i := range mx {
+		pooled := float64(mx[i]+my[i]) / float64(nx+ny)
+		for _, c := range []struct {
+			obs float64
+			n   int64
+		}{{float64(mx[i]), nx}, {float64(my[i]), ny}} {
+			expected := pooled * float64(c.n)
+			d := c.obs - expected
+			stat += d * d / expected
+		}
+	}
+	df := float64(len(mx) - 1)
+	return stat, df + 4.5*math.Sqrt(2*df)
+}
+
 // TestHybridSettlesAtInflowSwitch pins lazy relay settlement where the
 // relay's inflow switches: a slow protected two-state switch (off ⇄ on)
 // gates the clock on → on + a, and a drains first-order. The relay stays

@@ -262,7 +262,7 @@ a -> 0 @ 1
 }
 
 // TestHybridZeroRateSinkNoPanic: a zero-rate sink can never fire, so it
-// must not form a relay — the propagator would divide by MuA 0 and
+// must not form a relay — the propagator would divide by Mu 0 and
 // hand rng.Binomial a NaN survival probability.
 func TestHybridZeroRateSinkNoPanic(t *testing.T) {
 	net := chem.MustParseNetwork(`
