@@ -211,22 +211,15 @@ func BenchmarkEngineFirstReactionLambda(b *testing.B) {
 
 // lambdaTrialsBench measures Monte Carlo throughput in trials/sec for one
 // lambda model: the quantity the paper's "100,000 trials" characterisation
-// is bottlenecked on. The reuse variant runs the engine-factory path
-// (mc.RunWith: one engine per worker, Reset per trial); the fresh variant
-// builds an engine per trial like mc.Run.
-func lambdaTrialsBench(b *testing.B, model *lambda.Model, reuse bool) {
+// is bottlenecked on. It runs Model.Characterize, the engine-factory path
+// (mc.RunWith: one engine per worker, Reset per trial).
+func lambdaTrialsBench(b *testing.B, model *lambda.Model) {
 	const moi = 5
 	const trialsPerOp = 200
 	var lysogeny int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var res mc.Result
-		if reuse {
-			res = model.Characterize(moi, trialsPerOp, 23+uint64(i))
-		} else {
-			res = mc.Run(mc.Config{Trials: trialsPerOp, Outcomes: 2, Seed: 23 + uint64(i)},
-				model.Trial(moi))
-		}
+		res := model.Characterize(moi, trialsPerOp, 23+uint64(i))
 		lysogeny += res.Counts[lambda.Lysogeny]
 	}
 	b.StopTimer()
@@ -235,22 +228,16 @@ func lambdaTrialsBench(b *testing.B, model *lambda.Model, reuse bool) {
 	b.ReportMetric(100*float64(lysogeny)/trials, "lysogeny%")
 }
 
-// Narrow network: the paper's 19-reaction Figure 4 synthetic model.
-// Fresh = one Direct engine built per trial (the pre-refactor path);
-// Reuse = Model.Characterize, the mc.RunWith engine-factory hot path with
-// one OptimizedDirect engine per worker.
-func BenchmarkTrialsSyntheticDirectFresh(b *testing.B) {
-	lambdaTrialsBench(b, lambda.SyntheticModel(), false)
-}
-
+// Narrow network: the paper's 19-reaction Figure 4 synthetic model on one
+// OptimizedDirect engine per worker.
 func BenchmarkTrialsSyntheticOptimizedReuse(b *testing.B) {
-	lambdaTrialsBench(b, lambda.SyntheticModel(), true)
+	lambdaTrialsBench(b, lambda.SyntheticModel())
 }
 
 // Hybrid engine on the same model and path: the partitioned engine batches
 // the clock/decay relay analytically between exact race events.
 func BenchmarkTrialsSyntheticHybridReuse(b *testing.B) {
-	lambdaTrialsBench(b, lambda.SyntheticModel().WithEngine(sim.EngineHybrid), true)
+	lambdaTrialsBench(b, lambda.SyntheticModel().WithEngine(sim.EngineHybrid))
 }
 
 // Hybrid engine event throughput on the raw Step loop (comparable with the
@@ -277,20 +264,12 @@ func BenchmarkEngineHybridLambda(b *testing.B) {
 
 // Wide network: the natural-model surrogate (the stand-in for the Arkin
 // 117-reaction model the paper characterises).
-func BenchmarkTrialsNaturalDirectFresh(b *testing.B) {
-	model, err := lambda.NaturalModel(lambda.NaturalParams{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	lambdaTrialsBench(b, model, false)
-}
-
 func BenchmarkTrialsNaturalOptimizedReuse(b *testing.B) {
 	model, err := lambda.NaturalModel(lambda.NaturalParams{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	lambdaTrialsBench(b, model, true)
+	lambdaTrialsBench(b, model)
 }
 
 // wideNetwork builds an N-channel cyclic conversion network — the "many

@@ -83,6 +83,9 @@ func main() {
 		return
 	}
 
+	if *mean && *trials <= 0 {
+		fatal(fmt.Errorf("-mean requires a positive -trials"))
+	}
 	report, err := selectSpecies(net, *species)
 	if err != nil {
 		fatal(err)
@@ -112,7 +115,9 @@ func main() {
 		for i := range grid {
 			grid[i] = *maxTime * float64(i+1) / points
 		}
-		ens := sim.EnsembleStats(net, grid, *trials, *seed)
+		ens := sim.EnsembleStatsOpts(net, grid, *trials, *seed, sim.EnsembleOptions{
+			NewEngine: func(_ *chem.Network, gen *rng.PCG) sim.Engine { return mk(gen) },
+		})
 		fmt.Print(ensembleCSV(ens, net, report))
 		return
 	}

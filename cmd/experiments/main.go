@@ -10,15 +10,13 @@
 //
 //	-trials N   Monte Carlo trials per point (default 20000; paper: 100000)
 //	-seed S     base RNG seed (default 2007)
-//	-shards K   shards for the Figure 3 sweep (default 1; tallies are
-//	            bit-for-bit identical for every K — see docs/sharding.md)
 //	-engine E   simulation engine for the Monte Carlo sweeps (fig3, fig5,
-//	            pipeline): direct|optimized|first-reaction|hybrid;
-//	            default optimized. See docs/engines.md.
+//	            pipeline), any of sim.EngineKinds():
+//	            direct|optimized|first-reaction|hybrid; default optimized.
+//	            See docs/engines.md.
 //
 // The tool prints measured values next to the paper's reported/derived
-// values so deviations are visible at a glance. EXPERIMENTS.md records a
-// snapshot of this output.
+// values so deviations are visible at a glance.
 package main
 
 import (
@@ -33,7 +31,6 @@ import (
 	"stochsynth/internal/mc"
 	"stochsynth/internal/plot"
 	"stochsynth/internal/rng"
-	"stochsynth/internal/shard"
 	"stochsynth/internal/sim"
 	"stochsynth/internal/synth"
 )
@@ -45,19 +42,17 @@ func main() {
 		seed   = flag.Uint64("seed", 2007, "base RNG seed")
 		engine = flag.String("engine", "", "simulation engine for the Monte Carlo sweeps (default optimized)")
 	)
-	flag.IntVar(&fig3Shards, "shards", 1, "shards for the Figure 3 sweep (results identical for any value)")
 	flag.Parse()
-	// Engine selection fails fast, before any experiment runs: an unknown
-	// -engine value lists sim.EngineKinds(), and an engine with no
-	// registered Figure 3 sweep is rejected up front instead of silently
-	// substituting the default mid-run.
+	// Bad flags fail fast, before any experiment runs: an unknown -engine
+	// value lists sim.EngineKinds(), and every Monte Carlo runner needs at
+	// least one trial.
 	kind, err := sim.ParseEngineKind(*engine)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
-	if err := validateEngineSelection(*exp, kind); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
+	if *trials <= 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -trials %d: want a positive trial count\n", *trials)
 		os.Exit(2)
 	}
 	engineKind = kind
@@ -98,84 +93,20 @@ func main() {
 	}
 }
 
-// fig3Shards is how many shards the Figure 3 sweep is partitioned into
-// (flag -shards). The tallies are bit-for-bit identical for every value;
-// only the work distribution changes.
-var fig3Shards = 1
-
 // engineKind is the -engine flag: the engine the Monte Carlo sweeps run on
-// (empty = each path's default, OptimizedDirect).
+// (empty = OptimizedDirect).
 var engineKind sim.EngineKind
 
-// fig3Sweeps maps the engine kinds that have a registered Figure 3 sweep
-// to its id. The Figure 3 experiment runs through the shard registry, so
-// only kinds with a builtin sweep can serve it; when a new fig3 builtin
-// lands in shard.Builtin(), add its kind here and validation, selection
-// and the error message all follow.
-var fig3Sweeps = map[sim.EngineKind]string{
-	"":                        shard.SweepFig3Error,
-	sim.EngineOptimizedDirect: shard.SweepFig3Error,
-	sim.EngineHybrid:          shard.SweepFig3ErrorHybrid,
-}
-
-// fig3SupportedKinds lists the non-default engine kinds fig3Sweeps maps,
-// in EngineKinds order, for error messages.
-func fig3SupportedKinds() []sim.EngineKind {
-	var kinds []sim.EngineKind
-	for _, k := range sim.EngineKinds() {
-		if _, ok := fig3Sweeps[k]; ok {
-			kinds = append(kinds, k)
-		}
-	}
-	return kinds
-}
-
-// validateEngineSelection rejects -exp/-engine combinations that could not
-// run as requested, so the tool fails before any experiment output instead
-// of surfacing a substitution notice mid-run. An explicit `-exp fig3` with
-// an unservable engine is refused; `-exp all` still runs (every other
-// experiment honours the engine) and figure3 announces the skip up front.
-func validateEngineSelection(exp string, kind sim.EngineKind) error {
-	if kind == "" {
-		return nil
-	}
-	if exp == "fig3" {
-		if _, ok := fig3Sweeps[kind]; !ok {
-			return fmt.Errorf("engine %q has no registered Figure 3 sweep (fig3 supports: %v); choose one of those or a different -exp",
-				kind, fig3SupportedKinds())
-		}
-	}
-	return nil
-}
-
 // figure3 reproduces the error-vs-γ sweep (Monte Carlo per γ, log-log).
-// It runs on the partition+merge core: the default single-process run is
-// the 1-shard special case of the same sharded sweep cmd/sweepd can
-// spread across worker processes.
+// Point i draws the PointSeed(seed, i) streams with the trial body of the
+// registered synth/fig3-error sweep, so on the default engine it tallies
+// what cmd/sweepd prints for that sweep at any shard count.
 func figure3(trials int, seed uint64) {
 	gammas := []float64{1, 10, 100, 1e3, 1e4, 1e5}
-	sweep, ok := fig3Sweeps[engineKind]
-	if !ok {
-		// Only reachable from `-exp all` (an explicit `-exp fig3` was
-		// refused at startup by validateEngineSelection): skip the sweep
-		// loudly rather than substituting the default engine mid-run.
-		fmt.Fprintf(os.Stderr, "experiments: skipping Figure 3: engine %q has no registered sweep (fig3 supports: %v)\n",
-			engineKind, fig3SupportedKinds())
-		return
-	}
-	spec := shard.SweepSpec{
-		Sweep: sweep, Grid: gammas, Trials: trials, Seed: seed, Outcomes: 2,
-	}
-	merged, err := shard.Coordinate(spec, fig3Shards, shard.LocalRunner(shard.Builtin()),
-		shard.Options{Parallel: 1, Retries: 1})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
 	tab := plot.Table{Headers: []string{"gamma", "trials", "errors", "error %", "95% Wilson"}}
 	var xs, ys []float64
 	for i, g := range gammas {
-		res, err := merged.ResultAt(i)
+		res, err := synth.Figure3Tally(g, trials, mc.PointSeed(seed, i), engineKind)
 		if err != nil {
 			fmt.Println("error:", err)
 			return

@@ -35,25 +35,31 @@ func TestPipelineSmoke(t *testing.T) {
 	pipeline(60, 1)
 }
 
-// TestEngineSelectionFailsFast: a bad -engine must be rejected before any
-// experiment runs — unknown values list every selectable kind, and kinds
-// without a registered Figure 3 sweep are refused for fig3 runs instead of
-// silently substituting the default mid-run.
-func TestEngineSelectionFailsFast(t *testing.T) {
+// buildExperiments compiles the command once into a test temp dir.
+func buildExperiments(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "experiments")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building experiments: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestEngineSelectionFailsFast: a bad -engine must be rejected before any
+// experiment runs, listing every selectable kind; so must a trial count
+// no Monte Carlo runner accepts.
+func TestEngineSelectionFailsFast(t *testing.T) {
+	bin := buildExperiments(t)
 	cases := []struct {
 		args []string
 		want []string
 	}{
 		{[]string{"-engine", "bogus"},
 			[]string{"unknown engine", "direct", "optimized", "first-reaction", "hybrid"}},
-		{[]string{"-exp", "fig3", "-engine", "direct"},
-			[]string{"no registered Figure 3 sweep", "optimized", "hybrid"}},
 		{[]string{"-exp", "fig3", "-engine", "next-reaction"},
 			[]string{"unknown engine", "direct", "optimized", "first-reaction", "hybrid"}},
+		{[]string{"-exp", "fig3", "-trials", "0"},
+			[]string{"-trials 0", "positive"}},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -76,29 +82,28 @@ func TestEngineSelectionFailsFast(t *testing.T) {
 	}
 }
 
-// TestValidateEngineSelection covers the in-process validation matrix,
-// including the kinds that must keep working.
+// TestValidateEngineSelection: every kind in sim.EngineKinds() is a valid
+// selection for -exp fig3 and runs to exit 0. Direct and optimized draw
+// the same randomness over one kernel, so their tables (timing line
+// aside) are identical.
 func TestValidateEngineSelection(t *testing.T) {
-	for _, ok := range []struct {
-		exp  string
-		kind sim.EngineKind
-	}{
-		{"fig3", ""}, {"fig3", sim.EngineOptimizedDirect}, {"fig3", sim.EngineHybrid},
-		{"all", sim.EngineHybrid}, {"all", sim.EngineDirect},
-		{"fig5", sim.EngineDirect}, {"ex1", sim.EngineFirstReaction},
-	} {
-		if err := validateEngineSelection(ok.exp, ok.kind); err != nil {
-			t.Errorf("exp %q engine %q: unexpected rejection: %v", ok.exp, ok.kind, err)
+	bin := buildExperiments(t)
+	tables := map[sim.EngineKind]string{}
+	for _, kind := range sim.EngineKinds() {
+		out, err := exec.Command(bin, "-exp", "fig3", "-trials", "200", "-seed", "7", "-engine", string(kind)).Output()
+		if err != nil {
+			t.Fatalf("-engine %s: %v", kind, err)
 		}
+		var kept []string
+		for _, line := range strings.Split(string(out), "\n") {
+			if !strings.Contains(line, "trials/point)") {
+				kept = append(kept, line)
+			}
+		}
+		tables[kind] = strings.Join(kept, "\n")
 	}
-	for _, bad := range []struct {
-		exp  string
-		kind sim.EngineKind
-	}{
-		{"fig3", sim.EngineDirect}, {"fig3", sim.EngineFirstReaction},
-	} {
-		if err := validateEngineSelection(bad.exp, bad.kind); err == nil {
-			t.Errorf("exp %q engine %q: expected rejection", bad.exp, bad.kind)
-		}
+	if tables[sim.EngineDirect] != tables[sim.EngineOptimizedDirect] {
+		t.Errorf("direct and optimized Figure 3 tables differ:\n%s\n---\n%s",
+			tables[sim.EngineDirect], tables[sim.EngineOptimizedDirect])
 	}
 }

@@ -186,7 +186,8 @@ func (c *Compiled) SelectChannel(prop []float64, target float64) int {
 // selection blocks: prop and sums after one call are bitwise identical to
 // PropensitiesInto + BlockSumsInto, and the returned grand total is the
 // fold-left sum *over the block sums* — the canonical wide-kernel total
-// every block-path refresher (engines' renormalisation, batch resets)
+// every block-path refresher (Direct's per-event recompute,
+// OptimizedDirect's reset and renormalisation, the fused races)
 // reproduces bitwise. Folding over B ≈ √M block sums instead of flat over
 // M channels breaks the one serial float-add chain that dominates wide
 // full recomputes into B independent in-block chains the CPU pipelines;

@@ -7,8 +7,8 @@ import (
 	"stochsynth/internal/chem"
 )
 
-// figure4 is the paper's synthetic model (Figure 4), with the two
-// reconciliations recorded in DESIGN.md: reinforcing reactions produce 2d
+// figure4 is the paper's synthetic model (Figure 4), with two
+// reconciliations of the printed figure: reinforcing reactions produce 2d
 // (per §2.1.1), and the e₁/e₂ roles are oriented so that the tracked cI₂
 // outcome follows Equation 14 (both assimilation reactions convert e₁→e₂;
 // initial quantities e₁=85, e₂=15).
@@ -61,7 +61,7 @@ func TestFigure4Golden(t *testing.T) {
 func TestFigure4InitialQuantities(t *testing.T) {
 	m := SyntheticModel()
 	cases := map[string]int64{
-		"e1": 85, // DESIGN.md reconciliation: paper prints 15/85 swapped
+		"e1": 85, // figure4's reconciliation: paper prints 15/85 swapped
 		"e2": 15,
 		"b":  1,
 		"x1": 0,

@@ -9,8 +9,8 @@
 //     from Monte Carlo runs of the Arkin et al. (1998) natural model.
 //   - NaturalModel: a mechanistic surrogate for the Arkin model (117
 //     reactions / 61 species, not reprinted in the paper) — an MOI-dosed
-//     cro/cI race with capacity-limited CII degradation; see natural.go and
-//     DESIGN.md for the substitution rationale.
+//     cro/cI race with capacity-limited CII degradation; see natural.go
+//     for the substitution rationale.
 //   - Synthesize / SyntheticModel: the paper's synthesis output, a
 //     19-reaction / 17-species network (Figure 4) built from the synth
 //     package's modules, programmable for any response a + b·log₂ + x/c.
@@ -50,7 +50,7 @@ func DefaultThresholds() Thresholds { return Thresholds{Cro2: 55, CI2: 145} }
 // Reference returns Equation 14, the paper's curve fit to the natural
 // model: P(lysogeny)% = 15 + 6·log₂(MOI) + MOI/6. (The paper's text labels
 // this P(lysis), but Figure 5's axis — "cI₂ Threshold Reached (%)" — and
-// the biology both identify the rising curve with lysogeny; see DESIGN.md.)
+// the biology both identify the rising curve with lysogeny.)
 func Reference() fit.LogLin {
 	return fit.LogLin{A: 15, B: 6, C: 1.0 / 6, R2: 1}
 }
@@ -69,13 +69,11 @@ type Model struct {
 	Thresholds Thresholds
 	// MaxSteps bounds one trial (deadlock safety net).
 	MaxSteps int64
-	// Engine selects the simulation engine for Trial, Characterize and
-	// SweepMOI. The zero value keeps the historical defaults: Direct for
-	// the per-trial Trial path, OptimizedDirect for the engine-reuse
-	// Characterize path. Set sim.EngineHybrid to race the thresholds on
-	// the hybrid engine, which batches the logarithm module's clock as an
-	// exact relay (the outcome species are passed as its protected set
-	// automatically).
+	// Engine selects the simulation engine for Characterize, SweepMOI and
+	// EngineFactoryAt; the zero value is OptimizedDirect. Set
+	// sim.EngineHybrid to race the thresholds on the hybrid engine, which
+	// batches the logarithm module's clock as an exact relay (the outcome
+	// species are passed as its protected set automatically).
 	Engine sim.EngineKind
 }
 
@@ -101,49 +99,22 @@ func (m *Model) WithEngine(kind sim.EngineKind) *Model {
 // fixes the ranking. Any ordering is exact; the sampled trajectory stream
 // depends on it because propensity totals accumulate in channel order.
 func (m *Model) EngineFactoryAt(moi int64) func(gen *rng.PCG) sim.Engine {
-	comp := m.compileAt(moi)
-	protected := m.protected()
+	st0 := m.Net.InitialState()
+	st0.Set(m.MOI, moi)
+	comp := chem.CompileAt(m.Net, st0)
+	protected := []chem.Species{m.Cro2, m.CI2}
 	kind := m.Engine
 	return func(gen *rng.PCG) sim.Engine {
 		return sim.MustEngineOfKindCompiled(kind, comp, protected, gen)
 	}
 }
 
-// compileAt compiles the network ordered at the MOI-dosed initial state.
-func (m *Model) compileAt(moi int64) *chem.Compiled {
-	st0 := m.Net.InitialState()
-	st0.Set(m.MOI, moi)
-	return chem.CompileAt(m.Net, st0)
-}
-
-func (m *Model) protected() []chem.Species {
-	return []chem.Species{m.Cro2, m.CI2}
-}
-
-// Trial returns an mc.Trial that runs one infection at the given MOI and
-// classifies the outcome (Lysis, Lysogeny, or mc.None on deadlock). It
-// builds a fresh engine per trial (Direct unless the model selects an
-// engine); the Monte Carlo hot path goes through Characterize, which
-// reuses one engine per worker instead.
-func (m *Model) Trial(moi int64) mc.Trial {
-	classify := m.Classifier(moi)
-	kind := m.Engine
-	if kind == "" {
-		kind = sim.EngineDirect
-	}
-	comp := m.compileAt(moi)
-	protected := m.protected()
-	return func(gen *rng.PCG) int {
-		return classify(sim.MustEngineOfKindCompiled(kind, comp, protected, gen))
-	}
-}
-
-// Classifier returns the per-trial body shared by Trial and Characterize:
-// reset eng to the MOI-dosed initial state, race the lysis/lysogeny
-// pathways to a threshold, and classify the outcome (Lysis, Lysogeny, or
-// mc.None on deadlock). It is exported so the internal/shard trial
-// registry can rebuild the exact Characterize trial in a fresh worker
-// process; pair it with one engine per worker (mc.RunWith/RunRangeWith).
+// Classifier returns Characterize's per-trial body: reset eng to the
+// MOI-dosed initial state, race the lysis/lysogeny pathways to a
+// threshold, and classify the outcome (Lysis, Lysogeny, or mc.None on
+// deadlock). It is exported so the internal/shard trial registry can
+// rebuild the exact Characterize trial in a fresh worker process; pair it
+// with one engine per worker (mc.RunWith/RunRangeWith).
 func (m *Model) Classifier(moi int64) func(eng sim.Engine) int {
 	race := m.racer(moi)
 	return func(eng sim.Engine) int {

@@ -3,8 +3,6 @@ package lambda
 import (
 	"math"
 	"testing"
-
-	"stochsynth/internal/mc"
 )
 
 func TestReferenceMatchesEquation14(t *testing.T) {
@@ -156,7 +154,7 @@ func TestFitResponseNeedsThreePoints(t *testing.T) {
 func TestTrialClassifiesBothOutcomes(t *testing.T) {
 	// At MOI=1 both outcomes occur with substantial probability.
 	m := SyntheticModel()
-	res := mc.Run(mc.Config{Trials: 400, Outcomes: 2, Seed: 3}, m.Trial(1))
+	res := m.Characterize(1, 400, 3)
 	if res.Counts[Lysis] == 0 || res.Counts[Lysogeny] == 0 {
 		t.Fatalf("degenerate outcome distribution: %v", res)
 	}

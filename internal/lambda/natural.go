@@ -7,10 +7,10 @@ import (
 )
 
 // NaturalParams are the rate constants of the mechanistic surrogate for the
-// Arkin et al. natural lambda model. The defaults were calibrated (see
-// EXPERIMENTS.md) so that the surrogate's lysogenisation response over
-// MOI 1..10 tracks the paper's Equation 14; they are not biological
-// measurements.
+// Arkin et al. natural lambda model. The defaults were calibrated so that
+// the surrogate's lysogenisation response over MOI 1..10 tracks the
+// paper's Equation 14 (TestNaturalModelTracksEquation14 holds them to it);
+// they are not biological measurements.
 type NaturalParams struct {
 	// KCro is the lysis-pathway expression rate. It is machinery-limited
 	// (independent of MOI): the lytic promoter saturates host RNA
@@ -61,8 +61,9 @@ func DefaultNaturalParams() NaturalParams {
 // (lysogeny): more genome copies mean more CII, more CII means more cI, and
 // the CII pool self-limits so the advantage grows sub-linearly — the
 // qualitative mechanism behind the natural switch's MOI dependence. It
-// stands in for the Arkin et al. model the paper characterises; see
-// DESIGN.md §2 for why the substitution preserves the evaluated behaviour.
+// stands in for the Arkin et al. model the paper characterises but does
+// not reprint; Figure 5 reads only that model's MOI response, which the
+// NaturalParams defaults are calibrated to track.
 func NaturalModel(p NaturalParams) (*Model, error) {
 	if p == (NaturalParams{}) {
 		p = DefaultNaturalParams()

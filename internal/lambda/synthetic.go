@@ -143,7 +143,7 @@ func Synthesize(p SynthesisParams) (*Model, error) {
 // SyntheticModel returns the paper's Figure 4 model: Synthesize with
 // A=15, B=6, CInv=6 and the paper's thresholds, reproducing the printed
 // 19 reactions in 17 species (initial quantities e₁=85, e₂=15, b=1; see
-// DESIGN.md for the e₁/e₂ reconciliation).
+// the figure4 comment in golden_test.go for the e₁/e₂ reconciliation).
 func SyntheticModel() *Model {
 	m, err := Synthesize(SynthesisParams{A: 15, B: 6, CInv: 6})
 	if err != nil {

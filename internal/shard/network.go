@@ -343,9 +343,6 @@ func compileObservable(net *chem.Network, ns *NetworkSpec, param float64) (*netw
 	if err != nil {
 		return nil, err
 	}
-	if kind == "" {
-		kind = sim.EngineOptimizedDirect
-	}
 	o := ns.Observable
 	no := &networkObservable{
 		comp:     compileNetworkModel(mod),

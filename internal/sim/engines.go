@@ -51,33 +51,25 @@ func ParseEngineKind(s string) (EngineKind, error) {
 	return "", fmt.Errorf("sim: unknown engine %q (known: %v)", s, EngineKinds())
 }
 
-// NewEngineOfKindCompiled builds an engine of the given kind over an
+// MustEngineOfKindCompiled builds an engine of the given kind over an
 // already-compiled kernel, sharing it instead of recompiling. A Compiled is
 // immutable, so any number of engines (across goroutines) may share one.
 // protected lists the outcome/threshold species a hybrid engine must keep
 // exact; the exact engines ignore it. An empty kind defaults to
-// EngineOptimizedDirect.
-func NewEngineOfKindCompiled(kind EngineKind, comp *chem.Compiled, protected []chem.Species, gen *rng.PCG) (Engine, error) {
+// EngineOptimizedDirect. It is the one place a kind becomes an engine:
+// callers validate user input with ParseEngineKind first, and an unknown
+// kind panics.
+func MustEngineOfKindCompiled(kind EngineKind, comp *chem.Compiled, protected []chem.Species, gen *rng.PCG) Engine {
 	switch kind {
 	case EngineDirect:
-		return NewDirectCompiled(comp, gen), nil
+		return NewDirectCompiled(comp, gen)
 	case "", EngineOptimizedDirect:
-		return NewOptimizedDirectCompiled(comp, gen), nil
+		return NewOptimizedDirectCompiled(comp, gen)
 	case EngineFirstReaction:
-		return NewFirstReactionCompiled(comp, gen), nil
+		return NewFirstReactionCompiled(comp, gen)
 	case EngineHybrid:
-		return NewHybridCompiled(comp, protected, gen), nil
+		return NewHybridCompiled(comp, protected, gen)
 	default:
-		return nil, fmt.Errorf("sim: unknown engine kind %q", kind)
+		panic(fmt.Sprintf("sim: unknown engine kind %q", kind))
 	}
-}
-
-// MustEngineOfKindCompiled is NewEngineOfKindCompiled for callers that have
-// already validated the kind; it panics on an unknown kind.
-func MustEngineOfKindCompiled(kind EngineKind, comp *chem.Compiled, protected []chem.Species, gen *rng.PCG) Engine {
-	eng, err := NewEngineOfKindCompiled(kind, comp, protected, gen)
-	if err != nil {
-		panic(err)
-	}
-	return eng
 }

@@ -136,29 +136,32 @@ func Figure3Observer(mod *StochasticModule) func(eng sim.Engine) mc.Obs {
 	}
 }
 
-// Figure3ErrorRate runs the Figure 3 experiment at one γ: trials parallel
-// races of the Figure3Spec module, returning the fraction of trials in
-// error. It uses the default engine (OptimizedDirect); Figure3ErrorRateWith
-// selects another.
+// Figure3ErrorRate runs the Figure 3 experiment at one γ on the default
+// engine (OptimizedDirect), returning the fraction of trials in error.
 func Figure3ErrorRate(gamma float64, trials int, seed uint64) (float64, error) {
-	return Figure3ErrorRateWith(gamma, trials, seed, "")
-}
-
-// Figure3ErrorRateWith is Figure3ErrorRate on a caller-chosen engine kind
-// (empty means the default, OptimizedDirect). A hybrid engine receives the
-// module's output species as its protected set, so the error statistic —
-// which thresholds on exactly those species — keeps its distribution.
-func Figure3ErrorRateWith(gamma float64, trials int, seed uint64, kind sim.EngineKind) (float64, error) {
-	mod, err := Figure3Spec(gamma).Build()
+	res, err := Figure3Tally(gamma, trials, seed, "")
 	if err != nil {
 		return 0, err
 	}
+	return res.Fraction(1), nil
+}
+
+// Figure3Tally runs the Figure 3 experiment at one γ: trials parallel
+// races of the Figure3Spec module on the given engine kind (empty means
+// OptimizedDirect), tallied by Figure3Classifier (outcome 1 = error). A
+// hybrid engine receives the module's output species as its protected
+// set, so the error statistic — which thresholds on exactly those
+// species — keeps its distribution.
+func Figure3Tally(gamma float64, trials int, seed uint64, kind sim.EngineKind) (mc.Result, error) {
+	mod, err := Figure3Spec(gamma).Build()
+	if err != nil {
+		return mc.Result{}, err
+	}
 	protected := mod.ProtectedSpecies()
 	comp := chem.Compile(mod.Net)
-	res := mc.RunWith(mc.Config{Trials: trials, Outcomes: 2, Seed: seed},
+	return mc.RunWith(mc.Config{Trials: trials, Outcomes: 2, Seed: seed},
 		func(gen *rng.PCG) sim.Engine {
 			return sim.MustEngineOfKindCompiled(kind, comp, protected, gen)
 		},
-		Figure3Classifier(mod))
-	return res.Fraction(1), nil
+		Figure3Classifier(mod)), nil
 }

@@ -121,16 +121,16 @@ func TestFigure3HybridMatchesDirect(t *testing.T) {
 	crit := map[int]float64{2: 9.210, 3: 11.345}[len(gammas)]
 	totalStat := 0.0
 	for i, gamma := range gammas {
-		dir, err := Figure3ErrorRateWith(gamma, trials, uint64(900+i), sim.EngineDirect)
+		dir, err := Figure3Tally(gamma, trials, uint64(900+i), sim.EngineDirect)
 		if err != nil {
 			t.Fatal(err)
 		}
-		hyb, err := Figure3ErrorRateWith(gamma, trials, uint64(950+i), sim.EngineHybrid)
+		hyb, err := Figure3Tally(gamma, trials, uint64(950+i), sim.EngineHybrid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := float64(trials)
-		dErr, hErr := dir*n, hyb*n
+		dErr, hErr := float64(dir.Counts[1]), float64(hyb.Counts[1])
 		// Pooled 2x2 homogeneity chi-square, df = 1. Low-γ points keep every
 		// expected cell above 5 at these trial counts; γ=1e5 has essentially
 		// zero errors in both samples, which contributes ~0 to the statistic,
@@ -153,7 +153,7 @@ func TestFigure3HybridMatchesDirect(t *testing.T) {
 			}
 		}
 		totalStat += stat
-		t.Logf("γ=%g: direct %.4f hybrid %.4f (chi2 %.3f)", gamma, dir, hyb, stat)
+		t.Logf("γ=%g: direct %.4f hybrid %.4f (chi2 %.3f)", gamma, dir.Fraction(1), hyb.Fraction(1), stat)
 	}
 	if totalStat > crit {
 		t.Errorf("pooled hybrid-vs-Direct chi2 over the γ sweep = %.2f > %.2f (p < 0.01)",

@@ -81,8 +81,8 @@ func TestStochasticRatesFollowEquation1(t *testing.T) {
 }
 
 func TestStochasticReinforcingShape(t *testing.T) {
-	// Reinforcing must be dᵢ + eᵢ → 2dᵢ per §2.1.1 (see DESIGN.md on the
-	// Figure 4 misprint).
+	// Reinforcing must be dᵢ + eᵢ → 2dᵢ per §2.1.1 (see the figure4
+	// comment in internal/lambda/golden_test.go on the Figure 4 misprint).
 	mod, err := example1Spec(1e3).Build()
 	if err != nil {
 		t.Fatal(err)
