@@ -10,18 +10,21 @@ import (
 	"stochsynth/internal/lambda"
 	"stochsynth/internal/rng"
 	"stochsynth/internal/scenario"
+	"stochsynth/internal/shard"
 	"stochsynth/internal/sim"
 	"stochsynth/internal/synth"
 )
 
-// digestCase is one network the hybrid trajectory digest walks: a
-// constructor for the engine over its generator, the per-trial reset state,
-// an optional stop predicate, a step cap and a horizon.
+// digestCase is one network the hybrid digests walk: a constructor for the
+// engine over its generator, the per-trial reset state, an optional stop
+// predicate, a step cap and a horizon for the stepwise digest, and the
+// threshold list the race digest stops on in place of the predicate.
 type digestCase struct {
 	name    string
 	build   func(gen *rng.PCG) *sim.Hybrid
 	st0     chem.State
 	stop    func(chem.State) bool
+	ths     []sim.SpeciesThreshold
 	steps   int
 	horizon float64
 }
@@ -111,6 +114,7 @@ func digestCases(t *testing.T) []digestCase {
 			stop: func(st chem.State) bool {
 				return st[cro2] >= th.Cro2 || st[ci2] >= th.CI2
 			},
+			ths:     []sim.SpeciesThreshold{{Species: cro2, Count: th.Cro2}, {Species: ci2, Count: th.CI2}},
 			steps:   1 << 20,
 			horizon: sim.NoHorizon(),
 		})
@@ -124,6 +128,10 @@ func digestCases(t *testing.T) []digestCase {
 		comp := chem.Compile(mod.Net)
 		protected := mod.ProtectedSpecies()
 		stop := mod.ThresholdPredicate(synth.Figure3Threshold)
+		var ths []sim.SpeciesThreshold
+		for _, outs := range mod.Outputs {
+			ths = append(ths, sim.SpeciesThreshold{Species: outs[0], Count: synth.Figure3Threshold})
+		}
 		cases = append(cases, digestCase{
 			name: "figure3",
 			build: func(gen *rng.PCG) *sim.Hybrid {
@@ -131,6 +139,7 @@ func digestCases(t *testing.T) []digestCase {
 			},
 			st0:     mod.Net.InitialState(),
 			stop:    func(st chem.State) bool { return stop(st, 0) },
+			ths:     ths,
 			steps:   1 << 20,
 			horizon: sim.NoHorizon(),
 		})
@@ -147,6 +156,15 @@ func digestCases(t *testing.T) []digestCase {
 				protected = append(protected, net.MustSpecies(name))
 			}
 		}
+		// The race list of the scenario's own sweeps: a race observable
+		// stops on its two thresholds, an endpoint runs out the step cap.
+		var ths []sim.SpeciesThreshold
+		if o := s.Observable; o.Kind == shard.ObsRace {
+			ths = []sim.SpeciesThreshold{
+				{Species: net.MustSpecies(o.SpeciesA), Count: o.CountA},
+				{Species: net.MustSpecies(o.SpeciesB), Count: o.CountB},
+			}
+		}
 		st0 := net.InitialState()
 		if s.Param != nil && s.Param.Species != "" {
 			st0.Set(net.MustSpecies(s.Param.Species), int64(s.Grid[0]))
@@ -158,6 +176,7 @@ func digestCases(t *testing.T) []digestCase {
 				return sim.NewHybridCompiled(comp, protected, gen)
 			},
 			st0:     st0,
+			ths:     ths,
 			steps:   4000,
 			horizon: sim.NoHorizon(),
 		})
@@ -290,6 +309,140 @@ func TestHybridTrajectoryDigest(t *testing.T) {
 	for i, c := range cases {
 		if got[i] != want[i] {
 			t.Errorf("case %d (%s): digest %#x, want %#x", i, c.name, got[i], want[i])
+		}
+	}
+}
+
+// raceCuts are the step bounds the race digest runs each case at: the
+// case's own cap, and a short cut that ends most races at StopSteps.
+func raceCuts(c digestCase) []int64 { return []int64{int64(c.steps), 37} }
+
+// hybridRaceDigest runs trials threshold races of c per step bound in
+// raceCuts (generator reseeded per race, horizon infinite) and folds each
+// race's RunResult (Steps, Reason, Time() bits), the whole State(),
+// FastEvents(), Propagations() and GatingScans(), plus one generator draw,
+// into an FNV-1a digest. PropensityEvals() is left out: it counts work,
+// not stream.
+func hybridRaceDigest(c digestCase, trials int) uint64 {
+	dg := fnv.New64a()
+	var buf [8]byte
+	word := func(x uint64) {
+		binary.LittleEndian.PutUint64(buf[:], x)
+		dg.Write(buf[:])
+	}
+	gen := rng.NewStream(0x5eed, 0)
+	h := c.build(gen)
+	for trial := 0; trial < trials; trial++ {
+		for _, cut := range raceCuts(c) {
+			gen.Reseed(0x5eed, uint64(trial))
+			h.Reset(c.st0, 0)
+			res := sim.RunThresholdRace(h, c.ths, cut)
+			word(uint64(res.Steps))
+			word(uint64(res.Reason))
+			word(math.Float64bits(res.Time))
+			for _, x := range h.State() {
+				word(uint64(x))
+			}
+			word(uint64(h.FastEvents()))
+			word(uint64(h.Propagations()))
+			word(uint64(h.GatingScans()))
+			word(gen.Uint64())
+		}
+	}
+	return dg.Sum64()
+}
+
+// TestHybridRaceDigest pins the hybrid's threshold-race stream on every
+// digest case, the one sim.RunThresholdRace draws for lambda, Figure 3,
+// scenario and -model sweeps. The digests were recorded while the race
+// still drove the hybrid through sim.Run, so matching them shows that the
+// fused race loop draws, fires and settles exactly as Run over Step did.
+func TestHybridRaceDigest(t *testing.T) {
+	trials := 4
+	if testing.Short() {
+		trials = 2
+	}
+	want := map[int][]uint64{
+		2: {
+			0x71933b36baee43fe, 0x955e4ceab942b1db, 0xa528095dd9f6a77e, 0x91d5dcd8fb1f5644,
+			0xaf6b5081b2e5546c, 0xf3f525fa676ac5b4, 0xe55577e36bb1f611, 0xb106ad60d8a580fd,
+			0x85c8ca315fc36b50, 0xfb9dd652d2bb8981, 0xb7b772ffacdcb351, 0xa9a50796a9190b4b,
+			0xa0cbaec78c5e6499, 0xaa7c3aad59c3e3f8, 0x177515a1f672992c, 0x1ee5665c3dc96bac,
+			0x32d1fb6d5d8d93da, 0xd04be3b2d95ef77f, 0xa7b1e837da9804cb, 0xb71a3177ee21c6a5,
+			0xdce8a60770051eae, 0x7bb97fec50b10450, 0x5cae65e451dc4d54, 0x314bf030703d8111,
+			0xd113a73b188f4d07, 0xd788a2bedf7dd675, 0xd3804d0627011ed6,
+		},
+		4: {
+			0xe81764c006001333, 0xbbb41bfaf4adff07, 0xe28ebc2b77fb75d1, 0x8828fb492c7f1945,
+			0x48e81cb3d25a8e2d, 0x7649aa13ff230595, 0x292e8d4b68806684, 0xc4bb517be3402030,
+			0x0ffa32bad9edeaf2, 0x10fa8b82f0748624, 0x9677c737dab5354c, 0xde3977a20a5af887,
+			0xc1d84498a910892f, 0x9067396092453a29, 0x9667719d70636bb9, 0x31c4747178afb42d,
+			0x92b5835f7ba2f72c, 0x8cf77c687a198bb6, 0x65a05282594d8007, 0x4a0aed7ff9fda14d,
+			0x1cb6db304110adb8, 0x824f4782c57ebc8e, 0x9c9d4159b44f8910, 0x98057ea5cea9dd71,
+			0x904d764043bfcc57, 0x006c122f940cb23c, 0x63173e91ed3d9a56,
+		},
+	}[trials]
+	cases := digestCases(t)
+	var got []uint64
+	for _, c := range cases {
+		got = append(got, hybridRaceDigest(c, trials))
+	}
+	if len(want) != len(got) {
+		t.Fatalf("recorded %d digests, computed %d: %#x", len(want), len(got), got)
+	}
+	for i, c := range cases {
+		if got[i] != want[i] {
+			t.Errorf("case %d (%s): digest %#x, want %#x", i, c.name, got[i], want[i])
+		}
+	}
+}
+
+// TestHybridRaceMatchesRun races sim.RunThresholdRace against sim.Run
+// with the same step bound and threshold predicate, on twin engines over
+// twin generators: results, whole states, counters and generator
+// positions must agree after every race.
+func TestHybridRaceMatchesRun(t *testing.T) {
+	trials := 3
+	if testing.Short() {
+		trials = 1
+	}
+	for i, c := range digestCases(t) {
+		genRace, genRun := rng.NewStream(0x7ace, 0), rng.NewStream(0x7ace, 0)
+		race, run := c.build(genRace), c.build(genRun)
+		stop := func(st chem.State, _ float64) bool {
+			for _, th := range c.ths {
+				if st[th.Species] >= th.Count {
+					return true
+				}
+			}
+			return false
+		}
+		for trial := 0; trial < trials; trial++ {
+			for _, cut := range raceCuts(c) {
+				genRace.Reseed(0x7ace, uint64(trial))
+				genRun.Reseed(0x7ace, uint64(trial))
+				race.Reset(c.st0, 0)
+				run.Reset(c.st0, 0)
+				got := sim.RunThresholdRace(race, c.ths, cut)
+				want := sim.Run(run, sim.RunOptions{MaxSteps: cut, StopWhen: stop})
+				if got != want {
+					t.Fatalf("case %d (%s) trial %d cut %d: race %+v, Run %+v", i, c.name, trial, cut, got, want)
+				}
+				for sp, x := range run.State() {
+					if race.State()[sp] != x {
+						t.Fatalf("case %d (%s) trial %d cut %d: species %d = %d after the race, %d after Run",
+							i, c.name, trial, cut, sp, race.State()[sp], x)
+					}
+				}
+				if a, b := [3]int64{race.FastEvents(), race.Propagations(), race.GatingScans()},
+					[3]int64{run.FastEvents(), run.Propagations(), run.GatingScans()}; a != b {
+					t.Fatalf("case %d (%s) trial %d cut %d: fast events, propagations, gating scans %v after the race, %v after Run",
+						i, c.name, trial, cut, a, b)
+				}
+				if a, b := genRace.Uint64(), genRun.Uint64(); a != b {
+					t.Fatalf("case %d (%s) trial %d cut %d: generators diverged (%#x vs %#x)", i, c.name, trial, cut, a, b)
+				}
+			}
 		}
 	}
 }
