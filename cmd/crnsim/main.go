@@ -15,7 +15,9 @@
 //	-engine E         direct | optimized | first-reaction | hybrid
 //	                  (default direct; see docs/engines.md)
 //	-maxtime T        stop a trajectory at simulated time T
-//	-maxsteps N       stop a trajectory after N events (default 1e6)
+//	-maxsteps N       stop a trajectory after N events (default 1e6); trace
+//	                  and final-state modes only: -mean needs whole
+//	                  trajectories, so it refuses an explicit -maxsteps
 //	-seed S           RNG seed (default 1)
 //	-validate         validate the network and exit
 //	-dot              print a Graphviz rendering and exit
@@ -45,7 +47,7 @@ func main() {
 		species  = flag.String("species", "", "comma-separated species to report (default all)")
 		engine   = flag.String("engine", "direct", "simulation engine: direct|optimized|first-reaction|hybrid")
 		maxTime  = flag.Float64("maxtime", 0, "simulated-time bound (0 = none)")
-		maxSteps = flag.Int64("maxsteps", 1_000_000, "event-count bound")
+		maxSteps = flag.Int64("maxsteps", 1_000_000, "event-count bound of the trace and final-state modes (-mean refuses it)")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
 		mean     = flag.Bool("mean", false, "with -trials: ensemble mean time-course (requires -maxtime)")
 		validate = flag.Bool("validate", false, "validate the network and exit")
@@ -85,6 +87,13 @@ func main() {
 
 	if *mean && *trials <= 0 {
 		fatal(fmt.Errorf("-mean requires a positive -trials"))
+	}
+	// A time-course averages whole trajectories; cutting some short at an
+	// event bound would bias every later grid point.
+	maxStepsSet := false
+	flag.Visit(func(f *flag.Flag) { maxStepsSet = maxStepsSet || f.Name == "maxsteps" })
+	if *mean && maxStepsSet {
+		fatal(fmt.Errorf("-mean runs every trajectory to -maxtime and cannot honour -maxsteps"))
 	}
 	report, err := selectSpecies(net, *species)
 	if err != nil {

@@ -103,6 +103,36 @@ func TestMeanRequiresTrials(t *testing.T) {
 	}
 }
 
+// TestMeanRefusesMaxSteps: -mean averages whole trajectories up to
+// -maxtime, so an explicit -maxsteps fails naming both flags before any
+// simulation, instead of being silently ignored. On a = 1, a -> 2 a the
+// ignored bound printed a mean near e⁵ where the final-state mode stops
+// every trial by 11 copies.
+func TestMeanRefusesMaxSteps(t *testing.T) {
+	bin, _ := buildCrnsim(t)
+	boom := filepath.Join(t.TempDir(), "boom.crn")
+	if err := os.WriteFile(boom, []byte("a = 1\na -> 2 a @ 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(bin, "-trials", "200", "-maxtime", "5", "-maxsteps", "10", "-mean", boom)
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exitErr *exec.ExitError
+	if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+		t.Fatalf("want exit code 1, got %v", err)
+	}
+	for _, want := range []string{"-mean", "-maxsteps"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr %q does not mention %q", stderr.String(), want)
+		}
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("output produced before the failure:\n%s", stdout.String())
+	}
+}
+
 // TestMeanHonoursEngine: the -mean ensemble runs on the -engine kind.
 // Direct and optimized draw the same randomness over one kernel, and the
 // flip network has no relay, so the hybrid steps as Direct does: the

@@ -24,8 +24,13 @@ import (
 // species, so each step only adds its elapsed time to an owed interval,
 // and the transient law is drawn once over all of it: just before a
 // relay's activity or inflow changes, before any Step that does not return
-// Fired, and when Run returns. With constant inflow the law composes over
-// consecutive intervals, so this is exact in distribution.
+// Fired, and when Run or RunThresholdRace returns. With constant inflow the
+// law composes over consecutive intervals, so this is exact in
+// distribution.
+//
+// RunThresholdRace drives a Hybrid through its own loop, which runs Step's
+// event body and draws exactly what Run over Step draws, waiting times
+// included, so Time advances over a hybrid race.
 //
 // Exactness: the hybrid is exact in distribution on every network. With no
 // relay active it steps exactly as Direct does on narrow kernels, draw for
@@ -46,8 +51,8 @@ import (
 //   - After a Fired step, State shows relay species as of the last
 //     settlement, not at Time. Protected species are never relay species,
 //     and a blocked dependent has zero propensity whatever the relay
-//     count, so no exact channel reads the stale counts. Run (and so
-//     RunThresholdRace) settles before it returns.
+//     count, so no exact channel reads the stale counts. Run and
+//     RunThresholdRace settle before they return.
 //
 // Step reports only exact firings (the decision events); relay firings are
 // tallied in FastEvents. Internally the engine runs on the compiled kernel
@@ -58,7 +63,7 @@ type Hybrid struct {
 	comp  *chem.Compiled
 	gen   *rng.PCG
 	part  *chem.Partition
-	state chem.State
+	state chem.State // extended vector (chem.Compiled.NewStateVec)
 	t     float64
 
 	// Partition data remapped into compiled channel indices.
@@ -70,11 +75,10 @@ type Hybrid struct {
 	isRelaySpecies []bool    // species owned by a relay
 
 	// prop is kept current incrementally: Reset recomputes every
-	// propensity, and later state changes record which propensities they
-	// made stale, which refresh recomputes before reading prop
-	// (applyPending).
+	// propensity, an exact firing refreshes its dependency row as it fires
+	// (fire), and a settlement marks the readers of relay species stale,
+	// which refresh recomputes before reading prop (applyPending).
 	prop         []float64
-	pendingFired int     // compiled channel whose dependents are stale, or -1
 	pendingRelay bool    // relay species moved: relayReaders are stale
 	relayReaders []int32 // channels with a reactant owned by a relay
 
@@ -88,8 +92,10 @@ type Hybrid struct {
 
 	// liveChans are the channels no active relay handles, in ascending
 	// compiled order, so the race total folds in the order of a full
-	// channel scan. Rebuilt only when relay activity changes.
+	// channel scan. Rebuilt only when relay activity changes. cum[i] is
+	// the fold through liveChans[i], stored by refresh for pickExact.
 	liveChans []int32
+	cum       []float64
 
 	// owed is the time the active relays have not yet been advanced over.
 	// Each step adds its elapsed time; settle draws the transient law once
@@ -121,8 +127,10 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 		comp:      comp,
 		gen:       gen,
 		part:      chem.NewPartition(net, protected),
+		state:     comp.NewStateVec(),
 		prop:      make([]float64, comp.NumChannels()),
 		liveChans: make([]int32, 0, comp.NumChannels()),
+		cum:       make([]float64, comp.NumChannels()),
 	}
 	// Remap the partition's original reaction indices onto compiled
 	// channels once, so the hot loops never translate.
@@ -191,7 +199,7 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 func (h *Hybrid) Network() *chem.Network { return h.comp.Network() }
 
 // State returns the live state vector (read-only for callers).
-func (h *Hybrid) State() chem.State { return h.state }
+func (h *Hybrid) State() chem.State { return h.state[:h.comp.NumSpecies()] }
 
 // Time returns the current simulation time.
 func (h *Hybrid) Time() float64 { return h.t }
@@ -201,9 +209,10 @@ func (h *Hybrid) Time() float64 { return h.t }
 func (h *Hybrid) FastEvents() int64 { return h.fastEvents }
 
 // PropensityEvals returns the number of single-channel propensity
-// evaluations since the last Reset, Reset's full recompute included
-// (NumChannels). Like every counter here it is an exact function of the
-// seed.
+// evaluations since the last Reset: Reset's full recompute (NumChannels),
+// each exact firing's dependency row, evaluated as it fires (the last
+// firing's row included), and the readers of relay species after each
+// settlement. Like every counter here it is an exact function of the seed.
 func (h *Hybrid) PropensityEvals() int64 { return h.propEvals }
 
 // Propagations returns the number of analytic relay settlements since the
@@ -227,50 +236,40 @@ func (h *Hybrid) Reset(state chem.State, t float64) {
 	if len(state) != h.comp.NumSpecies() {
 		panic("sim: state length does not match network species count")
 	}
-	if h.state == nil {
-		h.state = make(chem.State, len(state))
-	}
-	copy(h.state, state)
+	copy(h.state, state) // the trailing phantom slot stays 1
 	h.t = t
 	h.owed = 0
 	h.fastEvents = 0
-	h.comp.PropensitiesInto(h.state, h.prop)
+	h.comp.PropensitiesInto(h.State(), h.prop)
 	h.propEvals, h.propagations, h.gatingScans = int64(len(h.prop)), 0, 0
-	h.pendingFired, h.pendingRelay, h.pendingGating = -1, false, true
+	h.pendingRelay, h.pendingGating = false, true
 }
 
-// applyPending brings prop up to date with the state: the dependents of
-// the last exact firing and the readers of relay species. Compiled.Propensity
-// is bit-for-bit PropensitiesInto's per-channel value, so prop always equals
-// what a full recompute would produce.
+// applyPending re-evaluates the readers of relay species after a
+// settlement moved them. Exact firings refresh their own dependents (fire),
+// and settlements move only relay species, so afterwards prop equals what
+// a full recompute would produce: Compiled.Propensity is bit-for-bit
+// PropensitiesInto's per-channel value.
 //
 //stochlint:noalloc
 func (h *Hybrid) applyPending() {
-	if c := h.pendingFired; c >= 0 {
-		h.recompute(h.comp.Deps(c))
-		h.pendingFired = -1
+	if !h.pendingRelay {
+		return
 	}
-	if h.pendingRelay {
-		h.recompute(h.relayReaders)
-		h.pendingRelay = false
+	h.pendingRelay = false
+	st := h.State()
+	for _, c := range h.relayReaders {
+		h.prop[c] = h.comp.Propensity(int(c), st)
 	}
-}
-
-// recompute re-evaluates the propensities of chans.
-//
-//stochlint:noalloc
-func (h *Hybrid) recompute(chans []int32) {
-	for _, c := range chans {
-		h.prop[c] = h.comp.Propensity(int(c), h.state)
-	}
-	h.propEvals += int64(len(chans))
+	h.propEvals += int64(len(h.relayReaders))
 }
 
 // refresh brings propensities up to date and, when a gating input may have
 // moved (pendingGating), re-derives relay activity, returning the race
-// total: one fold over the live channels in ascending compiled order.
-// Skipping the re-derivation otherwise is bitwise: with its inputs
-// unchanged it would recompute the stored values and settle nothing.
+// total: one fold over the live channels in ascending compiled order,
+// whose running values it stores in cum. Skipping the re-derivation
+// otherwise is bitwise: with its inputs unchanged it would recompute the
+// stored values and settle nothing.
 //
 //stochlint:noalloc
 func (h *Hybrid) refresh() (total float64) {
@@ -278,8 +277,10 @@ func (h *Hybrid) refresh() (total float64) {
 	if h.pendingGating {
 		h.deriveRelays()
 	}
-	for _, c := range h.liveChans {
+	cum := h.cum[:len(h.liveChans)]
+	for i, c := range h.liveChans {
 		total += h.prop[c]
+		cum[i] = total
 	}
 	return total
 }
@@ -343,18 +344,42 @@ func (h *Hybrid) buildLive() {
 	h.liveChans = live[:n]
 }
 
-// fire applies compiled channel c, records its dependents as stale (and
-// relay activity, if c moves a gating input), and returns the original
-// reaction index.
+// fire applies compiled channel c, refreshes the propensities of its
+// dependency row, marks relay activity stale if c moves a gating input,
+// and returns the original reaction index.
+//
+// The refresh is chem.Compiled.FireAndRefresh without the running total,
+// inlined as in OptimizedDirect.raceThresholds: the packed records read the
+// pre-fire state with the fired channel's deltas baked in, the delta
+// applies, and the rare tail dependents recompute on the post-fire state.
+// The records reproduce Compiled.Propensity bit for bit (chem.RefreshInstr).
+// Nothing but a settlement moves the state before the next refresh, and
+// applyPending recomputes the readers of what it moves, so prop equals a
+// full recompute whenever refresh folds it. TestRaceRefreshLockstep pins
+// the copy.
 //
 //stochlint:noalloc
 func (h *Hybrid) fire(c int) int {
-	h.comp.Apply(c, h.state)
-	h.pendingFired = c
+	comp, st, prop := h.comp, h.state, h.prop
+	refs := comp.Refs[comp.RefStart[c]:comp.RefStart[c+1]]
+	tails := comp.Tails[comp.TailStart[c]:comp.TailStart[c+1]]
+	for _, ins := range refs {
+		xA := st[ins.S1] + int64(ins.DA)
+		xB := st[ins.S2] + int64(ins.DB)
+		fA := xA + int64(ins.Dim)*(xA*(xA-1)>>1-xA)
+		prop[ins.J] = (ins.Rate * float64(fA)) * float64(xB)
+	}
+	for _, ins := range comp.FireDelta[comp.FireDeltaStart[c]:comp.FireDeltaStart[c+1]] {
+		st[ins.S] += ins.D
+	}
+	for _, ins := range tails {
+		prop[ins.J] = comp.Propensity(int(ins.J), st)
+	}
+	h.propEvals += int64(len(refs) + len(tails))
 	if h.movesGating[c] {
 		h.pendingGating = true
 	}
-	return int(h.comp.Perm[c])
+	return int(comp.Perm[c])
 }
 
 // blocked reports whether channel c lacks some reactant that is no relay
@@ -376,7 +401,8 @@ func (h *Hybrid) blocked(c int) bool {
 
 // Step implements Engine: one exact next-event race over the live
 // channels, whose waiting time is owed to the active relays. Every return
-// other than Fired settles the owed interval.
+// other than Fired settles the owed interval. raceThresholds runs the same
+// event body with the infinite horizon specialised away.
 //
 //stochlint:noalloc
 func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
@@ -402,27 +428,67 @@ func (h *Hybrid) Step(horizon float64) (int, StepStatus) {
 	return h.fire(fired), Fired
 }
 
+// raceThresholds implements thresholdRacer for Hybrid: Run's control flow
+// with Step inlined and the infinite horizon specialised away. Unlike the
+// direct engines' jump-chain races it keeps the waiting-time draw, which
+// the active relays advance over, and it settles at every return, as Run
+// does.
+//
+//stochlint:noalloc
+func (h *Hybrid) raceThresholds(ths []SpeciesThreshold, maxSteps int64) RunResult {
+	var buf [8]SpeciesThreshold
+	ths = localThresholds(&buf, ths)
+	st := h.State()
+	var steps int64
+	reason := StopPredicate
+	for !reached(st, ths) {
+		if maxSteps > 0 && steps >= maxSteps {
+			reason = StopSteps
+			break
+		}
+		total := h.refresh()
+		if total <= 0 {
+			reason = StopQuiescent
+			break
+		}
+		dt := h.gen.Exp(total)
+		h.owed += dt
+		h.t += dt
+		fired := h.pickExact(total)
+		if fired < 0 {
+			reason = StopQuiescent // unreachable: total > 0
+			break
+		}
+		h.fire(fired)
+		steps++
+	}
+	h.settle()
+	return RunResult{Steps: steps, Time: h.t, Reason: reason}
+}
+
 // pickExact selects a live channel in proportion to the current
-// propensities, or -1 if none is positive. The result is a compiled
-// channel index.
+// propensities, or -1 if none is positive, reading the prefix sums refresh
+// stored for total. The result is a compiled channel index: the first live
+// channel whose prefix sum exceeds the target. No propensity is negative
+// and a zero term leaves the fold unchanged, so that channel has a
+// positive propensity.
 //
 //stochlint:noalloc
 func (h *Hybrid) pickExact(total float64) int {
 	target := h.gen.Float64() * total
-	acc := 0.0
-	last := -1
-	for _, c := range h.liveChans {
-		a := h.prop[c]
-		if a <= 0 {
-			continue
-		}
-		acc += a
-		last = int(c)
+	live := h.liveChans
+	for i, acc := range h.cum[:len(live)] {
 		if target < acc {
+			return int(live[i])
+		}
+	}
+	// Floating-point slack: the last live channel with positive propensity.
+	for i := len(live) - 1; i >= 0; i-- {
+		if c := live[i]; h.prop[c] > 0 {
 			return int(c)
 		}
 	}
-	return last // floating-point slack: last positive channel
+	return -1
 }
 
 // clamp advances the clock to horizon, owing the relays the remaining

@@ -36,7 +36,8 @@ func localThresholds(buf *[8]SpeciesThreshold, ths []SpeciesThreshold) []Species
 }
 
 // thresholdRacer is implemented by engines with an internal fused loop for
-// racing species thresholds on the embedded jump chain.
+// racing species thresholds: Direct and OptimizedDirect on the embedded
+// jump chain, the Hybrid with its waiting times kept.
 type thresholdRacer interface {
 	raceThresholds(ths []SpeciesThreshold, maxSteps int64) RunResult
 }
@@ -48,28 +49,34 @@ type thresholdRacer interface {
 // runs to the step bound or quiescence. ths is only read, so one list can
 // be shared by every Monte Carlo worker.
 //
-// The race is computed on the *embedded jump chain*: the winner of a
-// threshold race, the event count, and quiescence are functions of the
-// jump-chain alone — P(next event = channel i) = aᵢ/Σa regardless of the
-// holding times — so engines with a fused loop (Direct, OptimizedDirect)
-// skip the per-event waiting-time draw entirely. This is exact for every
-// time-free statistic (anything derived from Reason, Steps, and the final
-// state) and is worth ~35% of trial throughput on the lambda outcome
-// races, the package's hottest Monte Carlo path.
+// The direct engines (Direct, OptimizedDirect) race on the *embedded jump
+// chain*: the winner of a threshold race, the event count, and quiescence
+// are functions of the jump chain alone — P(next event = channel i) =
+// aᵢ/Σa regardless of the holding times — so their fused loops skip the
+// per-event waiting-time draw entirely. This is exact for every time-free
+// statistic (anything derived from Reason, Steps, and the final state) and
+// is worth ~35% of trial throughput on the lambda outcome races, the
+// package's hottest Monte Carlo path. Time() consequently does not advance
+// over their races; callers must not derive timing statistics from it.
 //
-// The fused loops carry nothing across calls but the engine itself, so a
-// race split into consecutive calls of 1 and n−1 steps draws exactly what
-// one n-step call draws.
+// The Hybrid's fused loop keeps the waiting-time draw, because its active
+// relays advance over the elapsed time: it draws exactly what Run over
+// Step draws, so Time() advances over a hybrid race. Between events it
+// shows relay species as of their last settlement (see Hybrid), which never
+// affects a race on protected species — those are never relay species —
+// and it settles before returning, so the final state is whole.
 //
-// Time() consequently does not advance over a fused race — callers must
-// not derive timing statistics from it. Engines without a fused loop fall
-// back to Run (which does advance time); outcome, step count and final
-// state keep the same distribution either way, but randomness consumption
-// differs, so the two paths are not trajectory-for-trajectory identical.
-// The hybrid takes the fallback. Between events it shows relay species as
-// of their last settlement (see Hybrid), which never affects a
-// race on protected species — those are never relay species — and Run
-// settles before returning, so the final state is whole.
+// The direct engines' fused loops carry nothing across calls but the
+// engine itself, so a race split into consecutive calls of 1 and n−1
+// steps draws exactly what one n-step call draws. So does the Hybrid's
+// while no relay is active; with one active, each return settles it, so a
+// split race is the same only in distribution.
+//
+// Engines without a fused loop (FirstReaction) fall back to Run, which
+// advances time; outcome, step count and final state keep the same
+// distribution either way, but randomness consumption differs from the
+// jump-chain races, so the paths are not trajectory-for-trajectory
+// identical.
 func RunThresholdRace(eng Engine, ths []SpeciesThreshold, maxSteps int64) RunResult {
 	if r, ok := eng.(thresholdRacer); ok {
 		return r.raceThresholds(ths, maxSteps)
