@@ -14,7 +14,8 @@
 //	-species a,b,c    restrict reporting to these species
 //	-engine E         direct | optimized | first-reaction | hybrid
 //	                  (default direct; see docs/engines.md)
-//	-maxtime T        stop a trajectory at simulated time T
+//	-maxtime T        stop a trajectory at simulated time T (finite, >= 0;
+//	                  default 0 = no bound)
 //	-maxsteps N       stop a trajectory after N events (default 1e6); trace
 //	                  and final-state modes only: -mean needs whole
 //	                  trajectories, so it refuses an explicit -maxsteps
@@ -32,6 +33,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
@@ -85,6 +87,11 @@ func main() {
 		return
 	}
 
+	// A NaN or negative bound would silently read as "no bound", and a
+	// -mean grid cannot end at infinity.
+	if math.IsNaN(*maxTime) || math.IsInf(*maxTime, 0) || *maxTime < 0 {
+		fatal(fmt.Errorf("-maxtime %v: want a finite, non-negative time (0 = no bound)", *maxTime))
+	}
 	if *mean && *trials <= 0 {
 		fatal(fmt.Errorf("-mean requires a positive -trials"))
 	}
@@ -124,22 +131,28 @@ func main() {
 		for i := range grid {
 			grid[i] = *maxTime * float64(i+1) / points
 		}
-		ens := sim.EnsembleStatsOpts(net, grid, *trials, *seed, sim.EnsembleOptions{
-			NewEngine: func(_ *chem.Network, gen *rng.PCG) sim.Engine { return mk(gen) },
-		})
+		ens := sim.EnsembleStats(net, grid, mc.Config{Trials: *trials, Seed: *seed}, mk)
 		fmt.Print(ensembleCSV(ens, net, report))
 		return
 	}
 
+	// One pass fills a column per reported species; each column folds
+	// exactly as mc.RunNumericWith folds its measurements.
 	st0 := net.InitialState()
-	for _, sp := range report {
-		sp := sp
-		s := mc.RunNumericWith(mc.Config{Trials: *trials, Seed: *seed}, mk,
-			func(eng sim.Engine) float64 {
-				eng.Reset(st0, 0)
-				sim.Run(eng, opts)
-				return float64(eng.State()[sp])
-			})
+	cols := make([][]float64, len(report))
+	for j := range cols {
+		cols[j] = make([]float64, *trials)
+	}
+	mc.ForEachTrial(mc.Config{Seed: *seed}, 0, *trials, mk, func(_, i int, eng sim.Engine) {
+		eng.Reset(st0, 0)
+		sim.Run(eng, opts)
+		st := eng.State()
+		for j, sp := range report {
+			cols[j][i] = float64(st[sp])
+		}
+	})
+	for j, sp := range report {
+		s := mc.NewMoments(0, cols[j]).Summary()
 		fmt.Printf("%-12s mean=%.4f stderr=%.4f min=%g max=%g (n=%d)\n",
 			net.Name(sp), s.Mean, s.StdErr(), s.Min, s.Max, s.N)
 	}

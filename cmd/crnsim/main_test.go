@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"stochsynth/internal/chem"
 	"stochsynth/internal/rng"
@@ -155,5 +157,58 @@ func TestMeanHonoursEngine(t *testing.T) {
 	}
 	if tables[sim.EngineFirstReaction] == tables[sim.EngineDirect] {
 		t.Errorf("first-reaction -mean table equals direct's: the ensemble ignored -engine")
+	}
+}
+
+// TestMaxTimeMustBeFinite: a negative or non-finite -maxtime fails naming
+// the flag before anything is simulated, in every mode. An infinite
+// -mean bound used to panic with a Go stack, a NaN one never returned
+// (no grid time is ever reached), and the trace and final-state modes
+// read NaN or a negative bound as "no bound".
+func TestMaxTimeMustBeFinite(t *testing.T) {
+	bin, flip := buildCrnsim(t)
+	for _, args := range [][]string{
+		{"-trials", "100", "-maxtime", "inf", "-mean"},
+		{"-trials", "100", "-maxtime", "NaN", "-mean"},
+		{"-trials", "100", "-maxtime", "-1"},
+		{"-trials", "100", "-maxtime", "NaN"},
+		{"-maxtime", "-0.5"},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		var stdout, stderr bytes.Buffer
+		cmd := exec.CommandContext(ctx, bin, append(args, flip)...)
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+			t.Errorf("%v: want exit code 1, got %v", args, err)
+			continue
+		}
+		if !strings.Contains(stderr.String(), "-maxtime") {
+			t.Errorf("%v: stderr %q does not mention -maxtime", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: output produced before the failure:\n%s", args, stdout.String())
+		}
+	}
+}
+
+// TestFinalStateOnePass: the final-state mode folds every reported
+// species from one pass over the trials, so each species' line is the
+// line a run reporting that species alone prints at the same seed.
+func TestFinalStateOnePass(t *testing.T) {
+	bin, flip := buildCrnsim(t)
+	run := func(species string) string {
+		out, err := exec.Command(bin, "-trials", "300", "-maxtime", "2", "-seed", "5", "-species", species, flip).Output()
+		if err != nil {
+			t.Fatalf("-species %s: %v", species, err)
+		}
+		return string(out)
+	}
+	both, a, b := run("a,b"), run("a"), run("b")
+	if both != a+b {
+		t.Fatalf("-species a,b printed\n%swant the -species a and -species b lines\n%s", both, a+b)
 	}
 }

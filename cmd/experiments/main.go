@@ -407,17 +407,21 @@ func pipeline(trials int, seed uint64) {
 }
 
 func moduleHist(net *chem.Network, out chem.Species, done func(chem.State, float64) bool, trials int, seed uint64) *mc.Hist {
-	h := mc.NewHist()
-	// Sequential engine reuse: one engine, reseeded onto stream (seed, i)
-	// per trial — same trajectories as a fresh engine per trial.
-	gen := rng.NewStream(seed, 0)
-	eng := sim.NewDirect(net, gen)
+	// Trial i draws from the stream (seed, i) on its worker's reused
+	// engine; the histogram adds the finals in trial order.
+	comp := chem.Compile(net)
 	st0 := net.InitialState()
-	for i := 0; i < trials; i++ {
-		gen.Reseed(seed, uint64(i))
-		eng.Reset(st0, 0)
-		sim.Run(eng, sim.RunOptions{StopWhen: done, MaxSteps: 2_000_000})
-		h.Add(eng.State()[out])
+	finals := make([]int64, trials)
+	mc.ForEachTrial(mc.Config{Seed: seed}, 0, trials,
+		func(gen *rng.PCG) sim.Engine { return sim.NewDirectCompiled(comp, gen) },
+		func(_, i int, eng sim.Engine) {
+			eng.Reset(st0, 0)
+			sim.Run(eng, sim.RunOptions{StopWhen: done, MaxSteps: 2_000_000})
+			finals[i] = eng.State()[out]
+		})
+	h := mc.NewHist()
+	for _, v := range finals {
+		h.Add(v)
 	}
 	return h
 }

@@ -148,11 +148,11 @@ func TestServeWorkersMatchSingleProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			classify := synth.Figure3Classifier(mod)
+			observe := synth.Figure3Observer(mod)
 			comp := chem.Compile(mod.Net)
 			protected := mod.ProtectedSpecies()
 			return func(gen *rng.PCG) float64 {
-				return float64(classify(sim.MustEngineOfKindCompiled("", comp, protected, gen)))
+				return float64(observe(sim.MustEngineOfKindCompiled("", comp, protected, gen)).Outcome)
 			}
 		})
 	for i := range gammas {
@@ -414,9 +414,9 @@ func TestFigure3ScaleSweepMatchesMcSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			classify := synth.Figure3Classifier(mod)
+			observe := synth.Figure3Observer(mod)
 			return func(gen *rng.PCG) int {
-				return classify(sim.NewOptimizedDirect(mod.Net, gen))
+				return observe(sim.NewOptimizedDirect(mod.Net, gen)).Outcome
 			}
 		})
 

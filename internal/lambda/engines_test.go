@@ -12,8 +12,9 @@ import (
 // engine-reuse path, mirroring Model.Characterize.
 func runEngine(m *Model, moi int64, trials int, seed uint64,
 	mk func(gen *rng.PCG) sim.Engine) mc.Result {
-	classify := m.Classifier(moi)
-	return mc.RunWith(mc.Config{Trials: trials, Outcomes: 2, Seed: seed}, mk, classify)
+	observe := m.Observer(moi)
+	return mc.RunWith(mc.Config{Trials: trials, Outcomes: 2, Seed: seed}, mk,
+		func(eng sim.Engine) int { return observe(eng).Outcome })
 }
 
 // TestDirectOptimizedAgreeInDistribution is the chi-square regression test
@@ -79,8 +80,7 @@ func TestCharacterizeMatchesPerTrialEngines(t *testing.T) {
 	fresh := mc.RunWith(mc.Config{Trials: trials, Outcomes: 2, Seed: seed},
 		func(gen *rng.PCG) *rng.PCG { return gen },
 		func(gen *rng.PCG) int {
-			classify := m.Classifier(moi)
-			return classify(m.EngineFactoryAt(moi)(gen))
+			return m.Observer(moi)(m.EngineFactoryAt(moi)(gen)).Outcome
 		})
 	if reused.Counts[0] != fresh.Counts[0] || reused.Counts[1] != fresh.Counts[1] || reused.None != fresh.None {
 		t.Fatalf("engine reuse changed results: reused %v, fresh %v", reused, fresh)

@@ -114,11 +114,11 @@ func TestHybridBatchesTheSyntheticHotPath(t *testing.T) {
 		}
 	}
 
-	classify := m.Classifier(5)
+	observe := m.Observer(5)
 	var fast int64
 	for i := 0; i < 10; i++ {
 		gen.Reseed(7, uint64(i))
-		if out := classify(h); out == mc.None {
+		if out := observe(h).Outcome; out == mc.None {
 			t.Fatal("trial unresolved")
 		}
 		fast += h.FastEvents()
@@ -189,15 +189,16 @@ func TestHybridSyntheticWorkCounters(t *testing.T) {
 
 // TestHybridSyntheticTrialZeroAllocs extends the sim package's Hybrid
 // Reset+Step allocation pin to full synthetic-model race trials through
-// the Monte Carlo trial bodies (Classifier and Observer): on a reused
-// engine a whole trial allocates nothing.
+// the Monte Carlo trial bodies (Observer, and the tally form that
+// Characterize and the shard sweeps build from it): on a reused engine a
+// whole trial allocates nothing.
 func TestHybridSyntheticTrialZeroAllocs(t *testing.T) {
 	m := SyntheticModel().WithEngine(sim.EngineHybrid)
 	const moi = 3
 	gen := rng.NewStream(43, 0)
 	eng := m.EngineFactoryAt(moi)(gen)
-	classify := m.Classifier(moi)
 	observe := m.Observer(moi)
+	classify := func(eng sim.Engine) int { return observe(eng).Outcome }
 	classify(eng) // warm up
 	var trial uint64
 	if n := testing.AllocsPerRun(20, func() {
@@ -205,7 +206,7 @@ func TestHybridSyntheticTrialZeroAllocs(t *testing.T) {
 		gen.Reseed(43, trial)
 		classify(eng)
 	}); n != 0 {
-		t.Errorf("Classifier trial allocates %.1f times, want 0", n)
+		t.Errorf("tally trial allocates %.1f times, want 0", n)
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		trial++

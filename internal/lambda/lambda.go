@@ -29,7 +29,7 @@ import (
 	"stochsynth/internal/sim"
 )
 
-// Outcome indices reported by model classifiers.
+// Outcome indices reported by Model.Observer.
 const (
 	// Lysis: the cro₂ threshold was reached first.
 	Lysis = 0
@@ -109,47 +109,16 @@ func (m *Model) EngineFactoryAt(moi int64) func(gen *rng.PCG) sim.Engine {
 	}
 }
 
-// Classifier returns Characterize's per-trial body: reset eng to the
-// MOI-dosed initial state, race the lysis/lysogeny pathways to a
-// threshold, and classify the outcome (Lysis, Lysogeny, or mc.None on
-// deadlock). It is exported so the internal/shard trial registry can
-// rebuild the exact Characterize trial in a fresh worker process; pair it
-// with one engine per worker (mc.RunWith/RunRangeWith).
-func (m *Model) Classifier(moi int64) func(eng sim.Engine) int {
-	race := m.racer(moi)
-	return func(eng sim.Engine) int {
-		outcome, _ := race(eng)
-		return outcome
-	}
-}
-
-// Observer returns the distribution-trial body of the MOI race for
-// internal/shard's dist sweeps: it runs exactly Classifier's race —
-// identical stream consumption, so per-trial outcomes agree trial for
-// trial with Characterize — and returns the full mc.Obs bundle: the
-// CI2−Cro2 decision margin as the continuous measurement, the jump-chain
-// event count as the integer measurement, and the race outcome with its
-// first-passage step count (see docs/engines.md on why the step count is
-// the exact time-free first-passage statistic).
+// Observer returns the one trial body of the MOI race, behind
+// Characterize and every lambda sweep form in internal/shard: reset eng to
+// the MOI-dosed initial state, race the lysis/lysogeny pathways to a
+// threshold, and return the full mc.Obs bundle — the race outcome (Lysis,
+// Lysogeny, or mc.None on deadlock) with its first-passage step count,
+// the CI2−Cro2 decision margin as the continuous measurement, and the
+// jump-chain event count as the integer measurement (see docs/engines.md
+// on why the step count is the exact time-free first-passage statistic).
+// Pair it with one engine per worker (mc.RunWith/RunRangeWith).
 func (m *Model) Observer(moi int64) func(eng sim.Engine) mc.Obs {
-	race := m.racer(moi)
-	ci2, cro2 := m.CI2, m.Cro2
-	return func(eng sim.Engine) mc.Obs {
-		outcome, steps := race(eng)
-		st := eng.State()
-		return mc.Obs{
-			Value:   float64(st[ci2]) - float64(st[cro2]),
-			IValue:  steps,
-			Outcome: outcome,
-			Steps:   steps,
-		}
-	}
-}
-
-// racer is the single race body behind Classifier and Observer: reset,
-// race, classify, and report the jump-chain event count. Keeping one code
-// path guarantees the two consume identical rng streams.
-func (m *Model) racer(moi int64) func(eng sim.Engine) (outcome int, steps int64) {
 	st0 := m.Net.InitialState()
 	st0.Set(m.MOI, moi)
 	maxSteps := m.MaxSteps
@@ -160,16 +129,24 @@ func (m *Model) racer(moi int64) func(eng sim.Engine) (outcome int, steps int64)
 		{Species: m.Cro2, Count: m.Thresholds.Cro2}, // lysis
 		{Species: m.CI2, Count: m.Thresholds.CI2},   // lysogeny
 	}
-	return func(eng sim.Engine) (int, int64) {
+	ci2, cro2, lysogenyAt := m.CI2, m.Cro2, m.Thresholds.CI2
+	return func(eng sim.Engine) mc.Obs {
 		eng.Reset(st0, 0)
 		res := sim.RunThresholdRace(eng, ths, maxSteps)
-		if res.Reason != sim.StopPredicate {
-			return mc.None, res.Steps
+		st := eng.State()
+		outcome := mc.None
+		if res.Reason == sim.StopPredicate {
+			outcome = Lysis
+			if st[ci2] >= lysogenyAt {
+				outcome = Lysogeny
+			}
 		}
-		if eng.State()[m.CI2] >= m.Thresholds.CI2 {
-			return Lysogeny, res.Steps
+		return mc.Obs{
+			Value:   float64(st[ci2]) - float64(st[cro2]),
+			IValue:  res.Steps,
+			Outcome: outcome,
+			Steps:   res.Steps,
 		}
-		return Lysis, res.Steps
 	}
 }
 
@@ -177,14 +154,14 @@ func (m *Model) racer(moi int64) func(eng sim.Engine) (outcome int, steps int64)
 // the engine-reuse path: each worker builds one engine of the model's
 // configured kind (OptimizedDirect by default; dependency graphs,
 // partitions and propensity vectors allocated once) and Resets it per
-// trial. This is the paper's "100,000 trials" measurement loop and the
-// package's hot path.
+// trial, tallying Observer's outcome. This is the paper's "100,000
+// trials" measurement loop and the package's hot path.
 func (m *Model) Characterize(moi int64, trials int, seed uint64) mc.Result {
-	classify := m.Classifier(moi)
+	observe := m.Observer(moi)
 	return mc.RunWith(
 		mc.Config{Trials: trials, Outcomes: 2, Seed: seed},
 		m.EngineFactoryAt(moi),
-		classify,
+		func(eng sim.Engine) int { return observe(eng).Outcome },
 	)
 }
 

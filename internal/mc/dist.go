@@ -139,7 +139,7 @@ func RunDistRangeWith[E any](cfg Config, hcfg HistConfig, lo, hi int, newEngine 
 		return DistSummary{}
 	}
 	obs := make([]Obs, hi-lo)
-	forEachTrial(cfg, lo, hi, newEngine, func(_, i int, eng E) {
+	ForEachTrial(cfg, lo, hi, newEngine, func(_, i int, eng E) {
 		obs[i-lo] = observe(eng)
 	})
 

@@ -13,7 +13,8 @@
 //
 // Every runner — tally (RunRangeWith), numeric (RunNumericRangeWith) and
 // distribution (RunDistRangeWith), plus their whole-run and per-trial-
-// engine wrappers — executes on one unexported worker pool. It resolves
+// engine wrappers — executes on one worker pool, ForEachTrial, which
+// callers with their own accumulators use directly. It resolves
 // the worker count, gives each worker one generator and one engine,
 // stripes trial indices statically across the workers, reseeds the
 // worker's generator onto the stream (Seed, i) before trial i, and

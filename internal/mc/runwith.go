@@ -21,19 +21,24 @@ func recoverTrialPanic(dst *string) {
 	}
 }
 
-// forEachTrial is the striped worker pool behind every range runner
-// (RunRangeWith, RunNumericRangeWith, RunDistRangeWith). It starts
-// rangeWorkers(cfg.Workers, hi-lo) workers; worker w owns the generator
-// rng.NewStream(cfg.Seed, w), builds one engine from it, and runs body on
-// the trial indices lo+w, lo+w+workers, … — static striping keeps the
-// trial→stream mapping fixed, so every result is independent of
-// scheduling. Before each trial the generator is repositioned in place
-// (rng.PCG.Reseed) onto the stream (cfg.Seed, i), so trial i draws exactly
-// what a fresh rng.NewStream(cfg.Seed, i) would.
+// ForEachTrial is the striped worker pool behind every range runner
+// (RunRangeWith, RunNumericRangeWith, RunDistRangeWith) and every trial
+// loop that keeps its own accumulators, such as sim.EnsembleStats. It
+// starts min(cfg.Workers, hi−lo) workers (cfg.Workers 0 means GOMAXPROCS);
+// worker w owns the generator rng.NewStream(cfg.Seed, w), builds one
+// engine from it, and runs body on the indices lo+w, lo+w+workers, … —
+// static striping keeps the index→stream mapping fixed, so every result
+// is independent of scheduling. Before each index i the generator is
+// repositioned in place (rng.PCG.Reseed) onto the stream (cfg.Seed, i),
+// so index i draws exactly what a fresh rng.NewStream(cfg.Seed, i) would.
+// body also gets the worker index w, for per-worker accumulators.
+// cfg.Trials and cfg.Outcomes are ignored; the range defines the work.
 //
 // A panic in newEngine or body stops its worker; once the pool drains, the
-// first one (in worker order) is re-raised on the caller's goroutine.
-func forEachTrial[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E, body func(w, i int, eng E)) {
+// first one (in worker order) is re-raised on the caller's goroutine as
+// "mc: trial body panicked: …" with the worker's stack.
+func ForEachTrial[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E, body func(w, i int, eng E)) {
+	checkRange(lo, hi)
 	workers := rangeWorkers(cfg.Workers, hi-lo)
 	panics := make([]string, workers)
 	var wg sync.WaitGroup
@@ -116,7 +121,7 @@ func RunRangeWith[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E,
 	}
 	checkRange(lo, hi)
 	res := Result{Counts: make([]int64, cfg.Outcomes), Trials: int64(hi - lo)}
-	// One tally row per worker (forEachTrial starts exactly this many):
+	// One tally row per worker (ForEachTrial starts exactly this many):
 	// workers count into their own row, and the rows are summed after the
 	// pool drains — integer sums, so the total is partition-independent.
 	type tally struct {
@@ -127,7 +132,7 @@ func RunRangeWith[E any](cfg Config, lo, hi int, newEngine func(gen *rng.PCG) E,
 	for w := range tallies {
 		tallies[w].counts = make([]int64, cfg.Outcomes)
 	}
-	forEachTrial(cfg, lo, hi, newEngine, func(w, i int, eng E) {
+	ForEachTrial(cfg, lo, hi, newEngine, func(w, i int, eng E) {
 		switch outcome := classify(eng); {
 		case outcome == None:
 			tallies[w].none++
@@ -170,7 +175,7 @@ func RunNumericRangeWith[E any](cfg Config, lo, hi int, newEngine func(gen *rng.
 		return nil
 	}
 	values := make([]float64, hi-lo)
-	forEachTrial(cfg, lo, hi, newEngine, func(_, i int, eng E) {
+	ForEachTrial(cfg, lo, hi, newEngine, func(_, i int, eng E) {
 		values[i-lo] = measure(eng)
 	})
 	return NewMoments(lo, values)

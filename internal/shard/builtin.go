@@ -24,9 +24,8 @@ const (
 	SweepFig3Numeric           = "synth/fig3-sweep"
 
 	// Distribution forms (wire format v2): every builtin trial body above
-	// has a -dist counterpart that observes the same races through
-	// lambda.Model.Observer / synth.Figure3Observer and accumulates the
-	// full mc.DistSummary bundle per grid point.
+	// has a -dist counterpart that observes the same races and accumulates
+	// the full mc.DistSummary bundle per grid point.
 	SweepLambdaSyntheticDist       = "lambda/synthetic-dist"
 	SweepLambdaSyntheticHybridDist = "lambda/synthetic-hybrid-dist"
 	SweepLambdaNaturalDist         = "lambda/natural-dist"
@@ -61,47 +60,45 @@ const (
 // sketch), the jump-chain event count (fixed-bin histogram), and the
 // lysis/lysogeny outcome with its first-passage step count (first-passage
 // summary); the Figure 3 races observe the race length in events and the
-// error indicator the same way. The -dist sweeps consume exactly the trial
-// streams of their tally counterparts, so per-trial outcomes — and hence
-// the first-passage class counts — agree with the tallies trial for trial.
+// error indicator the same way.
 //
-// The numeric sweeps consume exactly the trial streams of their tally
-// counterparts (same engine construction, same classifier), so per-trial
-// outcomes agree trial for trial, and their canonical mc.Moments
-// summaries merge bit-for-bit across any partition — over the network
-// transport and through the shard journal included.
+// Every form of a sweep wraps one trial body — lambda.Model.Observer or
+// synth.Figure3Observer on the same per-worker engines — so the tally,
+// numeric and -dist forms consume exactly the same trial streams: per-trial
+// outcomes, first-passage class counts and numeric indicators agree trial
+// for trial, and every summary merges bit-for-bit across any partition —
+// over the network transport and through the shard journal included.
 //
 // The non-hybrid sweeps rebuild the exact engine-reuse trial bodies of the
-// single-process paths, so sharded runs merge bit-for-bit with them; the
-// hybrid sweeps are equivalent in distribution, not bit-for-bit (different
-// randomness consumption), and their shards still merge exactly among
-// themselves.
+// single-process paths (Model.Characterize, synth.Figure3Tally), so
+// sharded runs merge bit-for-bit with them; the hybrid sweeps are
+// equivalent in distribution, not bit-for-bit (different randomness
+// consumption), and their shards still merge exactly among themselves.
 func Builtin() *Registry {
+	synthetic := lambdaPoint(func() (*lambda.Model, error) {
+		return lambda.SyntheticModel(), nil
+	})
+	syntheticHybrid := lambdaPoint(func() (*lambda.Model, error) {
+		return lambda.SyntheticModel().WithEngine(sim.EngineHybrid), nil
+	})
+	natural := lambdaPoint(func() (*lambda.Model, error) {
+		return lambda.NaturalModel(lambda.NaturalParams{})
+	})
+	fig3, fig3Hybrid := fig3Point(""), fig3Point(sim.EngineHybrid)
+
 	reg := NewRegistry()
-	reg.Register(SweepLambdaSynthetic, lambdaFactory(func() (*lambda.Model, error) {
-		return lambda.SyntheticModel(), nil
-	}))
-	reg.Register(SweepLambdaSyntheticHybrid, lambdaFactory(func() (*lambda.Model, error) {
-		return lambda.SyntheticModel().WithEngine(sim.EngineHybrid), nil
-	}))
-	reg.Register(SweepLambdaNatural, lambdaFactory(func() (*lambda.Model, error) {
-		return lambda.NaturalModel(lambda.NaturalParams{})
-	}))
-	reg.Register(SweepLambdaMOICurve, moiCurveFactory())
-	reg.Register(SweepFig3Error, fig3Factory(""))
-	reg.Register(SweepFig3ErrorHybrid, fig3Factory(sim.EngineHybrid))
-	reg.Register(SweepFig3Numeric, fig3NumericFactory())
-	reg.Register(SweepLambdaSyntheticDist, lambdaDistFactory(func() (*lambda.Model, error) {
-		return lambda.SyntheticModel(), nil
-	}))
-	reg.Register(SweepLambdaSyntheticHybridDist, lambdaDistFactory(func() (*lambda.Model, error) {
-		return lambda.SyntheticModel().WithEngine(sim.EngineHybrid), nil
-	}))
-	reg.Register(SweepLambdaNaturalDist, lambdaDistFactory(func() (*lambda.Model, error) {
-		return lambda.NaturalModel(lambda.NaturalParams{})
-	}))
-	reg.Register(SweepFig3Dist, fig3DistFactory(""))
-	reg.Register(SweepFig3HybridDist, fig3DistFactory(sim.EngineHybrid))
+	reg.Register(SweepLambdaSynthetic, synthetic.tally(2))
+	reg.Register(SweepLambdaSyntheticHybrid, syntheticHybrid.tally(2))
+	reg.Register(SweepLambdaNatural, natural.tally(2))
+	reg.Register(SweepLambdaMOICurve, synthetic.numeric(outcomeOne))
+	reg.Register(SweepFig3Error, fig3.tally(2))
+	reg.Register(SweepFig3ErrorHybrid, fig3Hybrid.tally(2))
+	reg.Register(SweepFig3Numeric, fig3.numeric(outcomeOne))
+	reg.Register(SweepLambdaSyntheticDist, synthetic.dist(2, lambdaHist))
+	reg.Register(SweepLambdaSyntheticHybridDist, syntheticHybrid.dist(2, lambdaHist))
+	reg.Register(SweepLambdaNaturalDist, natural.dist(2, lambdaHist))
+	reg.Register(SweepFig3Dist, fig3.dist(2, fig3Hist))
+	reg.Register(SweepFig3HybridDist, fig3Hybrid.dist(2, fig3Hist))
 	return reg
 }
 
@@ -114,157 +111,50 @@ var lambdaHist = mc.HistConfig{Lo: 0, Width: 256, Bins: 512}
 // threshold 10 are short, so 512×64 events over [0, 32768).
 var fig3Hist = mc.HistConfig{Lo: 0, Width: 64, Bins: 512}
 
-// lambdaDistFactory adapts a lambda model constructor into a distribution
-// factory whose parameter is the MOI, observing through Model.Observer on
-// the same per-worker engines as lambdaFactory.
-func lambdaDistFactory(build func() (*lambda.Model, error)) Factory {
-	return Factory{
-		Outcomes: 2,
-		Dist:     true,
-		Hist:     lambdaHist,
-		DistF: func(param float64) (DistTrial, error) {
-			moi := int64(math.Round(param))
-			if float64(moi) != param || moi < 1 {
-				return DistTrial{}, fmt.Errorf("MOI grid value %v is not a positive integer", param)
-			}
-			m, err := build()
-			if err != nil {
-				return DistTrial{}, err
-			}
-			observe := m.Observer(moi)
-			newEngine := m.EngineFactoryAt(moi)
-			return DistTrial{
-				NewEngine: func(gen *rng.PCG) any { return newEngine(gen) },
-				Observe:   func(eng any) mc.Obs { return observe(eng.(sim.Engine)) },
-			}, nil
-		},
+// outcomeOne is the numeric builtins' measure: the outcome-1 indicator,
+// the lysogeny fraction of the lambda races and the error rate of
+// Figure 3 (an unresolved race measures 0).
+func outcomeOne(o mc.Obs) float64 {
+	if o.Outcome == 1 {
+		return 1
+	}
+	return 0
+}
+
+// lambdaPoint builds the lambda sweeps' trial body at one MOI (the grid
+// value, which must be a positive integer): Model.Observer on engines
+// from Model.EngineFactoryAt, the model's configured kind
+// (OptimizedDirect by default).
+func lambdaPoint(build func() (*lambda.Model, error)) pointFunc {
+	return func(param float64) (point, error) {
+		moi := int64(math.Round(param))
+		if float64(moi) != param || moi < 1 {
+			return point{}, fmt.Errorf("MOI grid value %v is not a positive integer", param)
+		}
+		m, err := build()
+		if err != nil {
+			return point{}, err
+		}
+		return point{newEngine: m.EngineFactoryAt(moi), observe: m.Observer(moi)}, nil
 	}
 }
 
-// fig3DistFactory builds the distribution form of the Figure 3 sweep on
-// the given engine kind (empty = OptimizedDirect), observing through
-// synth.Figure3Observer on the same engines as fig3Factory.
-func fig3DistFactory(kind sim.EngineKind) Factory {
-	return Factory{
-		Outcomes: 2,
-		Dist:     true,
-		Hist:     fig3Hist,
-		DistF: func(gamma float64) (DistTrial, error) {
-			mod, err := synth.Figure3Spec(gamma).Build()
-			if err != nil {
-				return DistTrial{}, err
-			}
-			observe := synth.Figure3Observer(mod)
-			protected := mod.ProtectedSpecies()
-			comp := chem.Compile(mod.Net)
-			return DistTrial{
-				NewEngine: func(gen *rng.PCG) any {
-					return sim.MustEngineOfKindCompiled(kind, comp, protected, gen)
-				},
-				Observe: func(eng any) mc.Obs { return observe(eng.(sim.Engine)) },
-			}, nil
-		},
-	}
-}
-
-// lambdaFactory adapts a lambda model constructor into a tally factory
-// whose parameter is the MOI. The engine comes from the model (its
-// configured kind, OptimizedDirect by default).
-func lambdaFactory(build func() (*lambda.Model, error)) Factory {
-	return Factory{
-		Outcomes: 2,
-		Outcome: func(param float64) (OutcomeTrial, error) {
-			moi := int64(math.Round(param))
-			if float64(moi) != param || moi < 1 {
-				return OutcomeTrial{}, fmt.Errorf("MOI grid value %v is not a positive integer", param)
-			}
-			m, err := build()
-			if err != nil {
-				return OutcomeTrial{}, err
-			}
-			classify := m.Classifier(moi)
-			newEngine := m.EngineFactoryAt(moi)
-			return OutcomeTrial{
-				NewEngine: func(gen *rng.PCG) any { return newEngine(gen) },
-				Classify:  func(eng any) int { return classify(eng.(sim.Engine)) },
-			}, nil
-		},
-	}
-}
-
-// moiCurveFactory builds the numeric MOI-response sweep on the synthetic
-// model: the per-trial lysogeny indicator, on exactly the engine and
-// classifier Characterize uses, so trial t's measurement is determined by
-// the same stream draw as trial t of the lambda/synthetic tally.
-func moiCurveFactory() Factory {
-	return Factory{
-		Numeric: true,
-		NumericF: func(param float64) (NumericTrial, error) {
-			moi := int64(math.Round(param))
-			if float64(moi) != param || moi < 1 {
-				return NumericTrial{}, fmt.Errorf("MOI grid value %v is not a positive integer", param)
-			}
-			m := lambda.SyntheticModel()
-			classify := m.Classifier(moi)
-			newEngine := m.EngineFactoryAt(moi)
-			return NumericTrial{
-				NewEngine: func(gen *rng.PCG) any { return newEngine(gen) },
-				Measure: func(eng any) float64 {
-					if classify(eng.(sim.Engine)) == lambda.Lysogeny {
-						return 1
-					}
-					return 0
-				},
-			}, nil
-		},
-	}
-}
-
-// fig3NumericFactory builds the numeric Figure 3 sweep: the per-trial
-// error indicator on the default engine, stream-identical to the
-// synth/fig3-error tally trials.
-func fig3NumericFactory() Factory {
-	return Factory{
-		Numeric: true,
-		NumericF: func(gamma float64) (NumericTrial, error) {
-			mod, err := synth.Figure3Spec(gamma).Build()
-			if err != nil {
-				return NumericTrial{}, err
-			}
-			classify := synth.Figure3Classifier(mod)
-			protected := mod.ProtectedSpecies()
-			comp := chem.Compile(mod.Net)
-			return NumericTrial{
-				NewEngine: func(gen *rng.PCG) any {
-					return sim.MustEngineOfKindCompiled("", comp, protected, gen)
-				},
-				Measure: func(eng any) float64 {
-					return float64(classify(eng.(sim.Engine)))
-				},
-			}, nil
-		},
-	}
-}
-
-// fig3Factory builds the Figure 3 error-rate sweep on the given engine kind
-// (empty = OptimizedDirect).
-func fig3Factory(kind sim.EngineKind) Factory {
-	return Factory{
-		Outcomes: 2,
-		Outcome: func(gamma float64) (OutcomeTrial, error) {
-			mod, err := synth.Figure3Spec(gamma).Build()
-			if err != nil {
-				return OutcomeTrial{}, err
-			}
-			classify := synth.Figure3Classifier(mod)
-			protected := mod.ProtectedSpecies()
-			comp := chem.Compile(mod.Net)
-			return OutcomeTrial{
-				NewEngine: func(gen *rng.PCG) any {
-					return sim.MustEngineOfKindCompiled(kind, comp, protected, gen)
-				},
-				Classify: func(eng any) int { return classify(eng.(sim.Engine)) },
-			}, nil
-		},
+// fig3Point builds the Figure 3 sweeps' trial body at one γ on the given
+// engine kind (empty = OptimizedDirect): synth.Figure3Observer on engines
+// over the module's compiled kernel, with its output species protected.
+func fig3Point(kind sim.EngineKind) pointFunc {
+	return func(gamma float64) (point, error) {
+		mod, err := synth.Figure3Spec(gamma).Build()
+		if err != nil {
+			return point{}, err
+		}
+		protected := mod.ProtectedSpecies()
+		comp := chem.Compile(mod.Net)
+		return point{
+			newEngine: func(gen *rng.PCG) sim.Engine {
+				return sim.MustEngineOfKindCompiled(kind, comp, protected, gen)
+			},
+			observe: synth.Figure3Observer(mod),
+		}, nil
 	}
 }

@@ -82,11 +82,11 @@ func TestFig3NumericSweepAgreesWithTallyTrialForTrial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			classify := synth.Figure3Classifier(mod)
+			observe := synth.Figure3Observer(mod)
 			comp := chem.Compile(mod.Net)
 			protected := mod.ProtectedSpecies()
 			return func(gen *rng.PCG) float64 {
-				return float64(classify(sim.MustEngineOfKindCompiled("", comp, protected, gen)))
+				return float64(observe(sim.MustEngineOfKindCompiled("", comp, protected, gen)).Outcome)
 			}
 		})
 
@@ -224,9 +224,9 @@ func TestMOICurveNumericAgreesWithCharacterize(t *testing.T) {
 	}
 }
 
-// TestLambdaDistSweepAgreesWithTally: lambda.Model.Observer and Classifier
-// share one race body (they cannot drift apart), so the synthetic -dist
-// sweep's first-passage counts recover the tally exactly.
+// TestLambdaDistSweepAgreesWithTally: the tally and -dist forms wrap one
+// race body, lambda.Model.Observer (they cannot drift apart), so the
+// synthetic -dist sweep's first-passage counts recover the tally exactly.
 func TestLambdaDistSweepAgreesWithTally(t *testing.T) {
 	reg := Builtin()
 	grid := []float64{2}

@@ -377,14 +377,13 @@ func compileObservable(net *chem.Network, ns *NetworkSpec, param float64) (*netw
 	return no, nil
 }
 
-func (no *networkObservable) newEngine(gen *rng.PCG) any {
+func (no *networkObservable) newEngine(gen *rng.PCG) sim.Engine {
 	return sim.MustEngineOfKindCompiled(no.kind, no.comp, no.protect, gen)
 }
 
 // observe runs one trial: reset to the initial state, race (or run out)
 // the jump chain, classify, and read the observable.
-func (no *networkObservable) observe(eng any) mc.Obs {
-	e := eng.(sim.Engine)
+func (no *networkObservable) observe(e sim.Engine) mc.Obs {
 	e.Reset(no.st0, 0)
 	res := sim.RunThresholdRace(e, no.ths, no.maxSteps)
 	st := e.State()
@@ -416,10 +415,12 @@ func (no *networkObservable) observe(eng any) mc.Obs {
 }
 
 // NetworkFactory compiles a NetworkSpec into the trial factory its shards
-// run — the same Factory shape the registry serves, so Run treats
-// registry sweeps and wire-submitted networks identically after
-// resolution. The sweep kind is selected exactly as for ShardSpec:
-// numeric, dist, or (neither) tally with NetworkOutcomes outcomes.
+// run — the same Factory shape the registry serves, built by the same
+// adapters from one observe body per grid point, so Run treats registry
+// sweeps and wire-submitted networks identically after resolution. The
+// sweep kind is selected exactly as for ShardSpec: numeric (measuring the
+// observable value), dist, or (neither) tally with NetworkOutcomes
+// outcomes.
 func NetworkFactory(ns *NetworkSpec, numeric, dist bool) (Factory, error) {
 	if numeric && dist {
 		return Factory{}, fmt.Errorf("shard: network sweep cannot be both numeric and dist")
@@ -428,43 +429,20 @@ func NetworkFactory(ns *NetworkSpec, numeric, dist bool) (Factory, error) {
 	if err != nil {
 		return Factory{}, err
 	}
-	f := Factory{Numeric: numeric, Dist: dist}
+	build := pointFunc(func(param float64) (point, error) {
+		no, err := compileObservable(net, ns, param)
+		if err != nil {
+			return point{}, err
+		}
+		return point{newEngine: no.newEngine, observe: no.observe}, nil
+	})
 	switch {
 	case numeric:
-		f.NumericF = func(param float64) (NumericTrial, error) {
-			no, err := compileObservable(net, ns, param)
-			if err != nil {
-				return NumericTrial{}, err
-			}
-			return NumericTrial{
-				NewEngine: no.newEngine,
-				Measure:   func(eng any) float64 { return no.observe(eng).Value },
-			}, nil
-		}
+		return build.numeric(func(o mc.Obs) float64 { return o.Value }), nil
 	case dist:
-		f.Outcomes = NetworkOutcomes
-		f.Hist = *ns.Hist
-		f.DistF = func(param float64) (DistTrial, error) {
-			no, err := compileObservable(net, ns, param)
-			if err != nil {
-				return DistTrial{}, err
-			}
-			return DistTrial{NewEngine: no.newEngine, Observe: no.observe}, nil
-		}
-	default:
-		f.Outcomes = NetworkOutcomes
-		f.Outcome = func(param float64) (OutcomeTrial, error) {
-			no, err := compileObservable(net, ns, param)
-			if err != nil {
-				return OutcomeTrial{}, err
-			}
-			return OutcomeTrial{
-				NewEngine: no.newEngine,
-				Classify:  func(eng any) int { return no.observe(eng).Outcome },
-			}, nil
-		}
+		return build.dist(NetworkOutcomes, *ns.Hist), nil
 	}
-	return f, nil
+	return build.tally(NetworkOutcomes), nil
 }
 
 // validateNetworkSpec is the ShardSpec.Validate hook for network-carrying

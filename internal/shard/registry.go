@@ -7,6 +7,7 @@ import (
 
 	"stochsynth/internal/mc"
 	"stochsynth/internal/rng"
+	"stochsynth/internal/sim"
 )
 
 // OutcomeTrial is the engine-reuse form of one tally-sweep trial body:
@@ -52,6 +53,77 @@ type Factory struct {
 	NumericF func(param float64) (NumericTrial, error)
 	// DistF builds the distribution trial body at one grid value.
 	DistF func(param float64) (DistTrial, error)
+}
+
+// point is the trial body of one grid point: the engine factory each
+// worker calls once, and the observer that runs one trial on a worker's
+// engine. The tally, numeric and dist forms of a sweep (pointFunc.tally,
+// .numeric, .dist) all wrap the same point, so they consume identical
+// randomness trial for trial.
+type point struct {
+	newEngine func(gen *rng.PCG) sim.Engine
+	observe   func(eng sim.Engine) mc.Obs
+}
+
+func (p point) engine(gen *rng.PCG) any { return p.newEngine(gen) }
+
+// pointFunc builds the trial body at one grid value.
+type pointFunc func(param float64) (point, error)
+
+// tally is the tally form: each trial is counted under its observed
+// Outcome.
+func (build pointFunc) tally(outcomes int) Factory {
+	return Factory{
+		Outcomes: outcomes,
+		Outcome: func(param float64) (OutcomeTrial, error) {
+			p, err := build(param)
+			if err != nil {
+				return OutcomeTrial{}, err
+			}
+			return OutcomeTrial{
+				NewEngine: p.engine,
+				Classify:  func(eng any) int { return p.observe(eng.(sim.Engine)).Outcome },
+			}, nil
+		},
+	}
+}
+
+// numeric is the numeric form: each trial's value is measure applied to
+// its observation.
+func (build pointFunc) numeric(measure func(mc.Obs) float64) Factory {
+	return Factory{
+		Numeric: true,
+		NumericF: func(param float64) (NumericTrial, error) {
+			p, err := build(param)
+			if err != nil {
+				return NumericTrial{}, err
+			}
+			return NumericTrial{
+				NewEngine: p.engine,
+				Measure:   func(eng any) float64 { return measure(p.observe(eng.(sim.Engine))) },
+			}, nil
+		},
+	}
+}
+
+// dist is the distribution form: each trial's whole observation feeds the
+// point's mc.DistSummary, whose histogram has the layout hist.
+func (build pointFunc) dist(outcomes int, hist mc.HistConfig) Factory {
+	return Factory{
+		Outcomes: outcomes,
+		Dist:     true,
+		Hist:     hist,
+		DistF: func(param float64) (DistTrial, error) {
+			p, err := build(param)
+			if err != nil {
+				return DistTrial{}, err
+			}
+			return DistTrial{
+				NewEngine: p.engine,
+				Observe:   func(eng any) mc.Obs { return p.observe(eng.(sim.Engine)) },
+			}, nil
+		},
+	}
 }
 
 // Registry maps sweep ids to trial factories, making a ShardSpec runnable

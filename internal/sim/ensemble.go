@@ -2,10 +2,9 @@ package sim
 
 import (
 	"math"
-	"runtime"
-	"sync"
 
 	"stochsynth/internal/chem"
+	"stochsynth/internal/mc"
 	"stochsynth/internal/rng"
 )
 
@@ -29,35 +28,6 @@ func (e *Ensemble) StdErr(k int, s chem.Species) float64 {
 		return 0
 	}
 	return math.Sqrt(e.Var[k][s] / float64(e.Trials))
-}
-
-// EnsembleOptions tunes EnsembleStatsOpts.
-type EnsembleOptions struct {
-	// Workers bounds parallelism; 0 means GOMAXPROCS.
-	Workers int
-	// NewEngine builds each worker's engine; nil means NewDirect. Pass
-	// NewOptimizedDirect for wide networks — any exact Engine gives the
-	// same distribution, though floating-point accumulation order may
-	// differ in the last bits.
-	NewEngine func(*chem.Network, *rng.PCG) Engine
-}
-
-// EnsembleStats runs trials independent exact trajectories of net (from
-// its default initial state) and samples every species' count at the
-// given time grid, which must be strictly increasing and non-empty.
-// Sampling is exact: the engine is stepped with each grid time as the
-// horizon, so the recorded state is the true state at that instant.
-//
-// Trials run on a worker pool. Randomness is drawn from per-trial streams
-// of seed, so the set of trajectories — and therefore the sampled
-// distribution — is independent of scheduling. Accumulation uses a fixed
-// stripe scheme: trial t always feeds the Welford accumulator of stripe
-// t % ensembleStripes in trial order, and the stripes are merged in
-// stripe order, so the floating-point operation sequence — and hence
-// every Mean/Var bit — is identical for every worker count. Each worker
-// builds one engine and Resets it per trial rather than reallocating.
-func EnsembleStats(net *chem.Network, grid []float64, trials int, seed uint64) *Ensemble {
-	return EnsembleStatsOpts(net, grid, trials, seed, EnsembleOptions{})
 }
 
 // ensembleStripes is the fixed number of accumulation stripes. It bounds
@@ -122,78 +92,75 @@ func (w *welford) merge(other *welford) {
 	w.n += other.n
 }
 
-// EnsembleStatsOpts is EnsembleStats with explicit worker-pool and engine
-// options.
-func EnsembleStatsOpts(net *chem.Network, grid []float64, trials int, seed uint64, opts EnsembleOptions) *Ensemble {
+// EnsembleStats runs cfg.Trials independent exact trajectories of net
+// (from its default initial state) and samples every species' count at
+// the given time grid, which must be finite, non-negative, strictly
+// increasing and non-empty. Sampling is exact: the engine is stepped with
+// each grid time as the horizon, so the recorded state is the true state
+// at that instant. newEngine builds each worker's engine; any exact
+// Engine gives the same distribution.
+//
+// Trials run on mc's striped pool (mc.ForEachTrial, cfg.Workers bounding
+// it), with trial t drawing from the stream (cfg.Seed, t), so the set of
+// trajectories is independent of scheduling. Accumulation uses a fixed
+// stripe scheme: the pool's indices are the stripes, trial t always feeds
+// the Welford accumulator of stripe t % ensembleStripes in trial order,
+// and the stripes are merged in stripe order, so the floating-point
+// operation sequence — and hence every Mean/Var bit — is identical for
+// every worker count. A panic in newEngine or a trial reaches the caller
+// as mc's "mc: trial body panicked" panic.
+func EnsembleStats(net *chem.Network, grid []float64, cfg mc.Config, newEngine func(*rng.PCG) Engine) *Ensemble {
 	if len(grid) == 0 {
 		panic("sim: EnsembleStats with empty grid")
 	}
-	for i := 1; i < len(grid); i++ {
-		if grid[i] <= grid[i-1] {
+	for i, t := range grid {
+		if math.IsNaN(t) || math.IsInf(t, 0) {
+			panic("sim: EnsembleStats grid must be finite")
+		}
+		if i > 0 && t <= grid[i-1] {
 			panic("sim: EnsembleStats grid must be strictly increasing")
 		}
 	}
 	if grid[0] < 0 {
 		panic("sim: EnsembleStats grid must be non-negative")
 	}
+	trials := cfg.Trials
 	if trials <= 0 {
 		panic("sim: EnsembleStats needs positive trials")
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
 	}
 	// Stripes — not workers — own accumulators: trial t always feeds
 	// stripe t % ensembleStripes sequentially in trial order, whichever
 	// worker computes it, so the accumulation is a pure function of
 	// (net, grid, trials, seed) and bit-identical across worker counts.
-	stripes := ensembleStripes
-	if stripes > trials {
-		stripes = trials
-	}
-	if workers > stripes {
-		workers = stripes
-	}
-	newEngine := opts.NewEngine
-	if newEngine == nil {
-		newEngine = func(n *chem.Network, g *rng.PCG) Engine { return NewDirect(n, g) }
-	}
-
+	stripes := min(ensembleStripes, trials)
 	numSpecies := net.NumSpecies()
 	accs := make([]*welford, stripes)
 	for s := range accs {
 		accs[s] = newWelford(len(grid), numSpecies)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			gen := rng.NewStream(seed, uint64(w))
-			eng := newEngine(net, gen)
-			st0 := net.InitialState()
-			for stripe := w; stripe < stripes; stripe += workers {
-				acc := accs[stripe]
-				for trial := stripe; trial < trials; trial += stripes {
-					gen.Reseed(seed, uint64(trial))
-					eng.Reset(st0, 0)
-					for k, t := range grid {
-						for {
-							_, status := eng.Step(t)
-							if status != Fired {
-								break // Horizon or Quiescent: state is exact at t
-							}
+	st0 := net.InitialState()
+	type worker struct {
+		gen *rng.PCG
+		eng Engine
+	}
+	mc.ForEachTrial(cfg, 0, stripes,
+		func(gen *rng.PCG) worker { return worker{gen, newEngine(gen)} },
+		func(_, stripe int, w worker) {
+			acc := accs[stripe]
+			for trial := stripe; trial < trials; trial += stripes {
+				w.gen.Reseed(cfg.Seed, uint64(trial))
+				w.eng.Reset(st0, 0)
+				for k, t := range grid {
+					for {
+						_, status := w.eng.Step(t)
+						if status != Fired {
+							break // Horizon or Quiescent: state is exact at t
 						}
-						acc.add(k, eng.State())
 					}
+					acc.add(k, w.eng.State())
 				}
 			}
-		}(w)
-	}
-	wg.Wait()
+		})
 
 	// Deterministic merge in stripe order.
 	total := accs[0]

@@ -2,11 +2,18 @@ package sim
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"stochsynth/internal/chem"
+	"stochsynth/internal/mc"
 	"stochsynth/internal/rng"
 )
+
+// directOn returns the engine factory that builds Direct engines over net.
+func directOn(net *chem.Network) func(*rng.PCG) Engine {
+	return func(g *rng.PCG) Engine { return NewDirect(net, g) }
+}
 
 func TestEnsembleStatsDecay(t *testing.T) {
 	// Pure decay: E[A(t)] = A0·e^{−kt}, Var[A(t)] = A0·e^{−kt}(1−e^{−kt}).
@@ -16,7 +23,7 @@ a -> 0 @ 1
 `)
 	grid := []float64{0.25, 0.5, 1, 2}
 	const trials = 3000
-	e := EnsembleStats(net, grid, trials, 9)
+	e := EnsembleStats(net, grid, mc.Config{Trials: trials, Seed: 9}, directOn(net))
 	a := net.MustSpecies("a")
 	for k, tm := range grid {
 		p := math.Exp(-tm)
@@ -44,7 +51,7 @@ func TestEnsembleStatsExactAtGridPoints(t *testing.T) {
 a = 3
 a -> 0 @ 100
 `)
-	e := EnsembleStats(net, []float64{10}, 200, 4)
+	e := EnsembleStats(net, []float64{10}, mc.Config{Trials: 200, Seed: 4}, directOn(net))
 	if e.Mean[0][0] != 0 || e.Var[0][0] != 0 {
 		t.Fatalf("post-extinction mean/var = %v/%v", e.Mean[0][0], e.Var[0][0])
 	}
@@ -56,8 +63,8 @@ a = 20
 a -> b @ 1
 b -> a @ 1
 `)
-	e1 := EnsembleStats(net, []float64{1}, 100, 77)
-	e2 := EnsembleStats(net, []float64{1}, 100, 77)
+	e1 := EnsembleStats(net, []float64{1}, mc.Config{Trials: 100, Seed: 77}, directOn(net))
+	e2 := EnsembleStats(net, []float64{1}, mc.Config{Trials: 100, Seed: 77}, directOn(net))
 	if e1.Mean[0][0] != e2.Mean[0][0] || e1.Var[0][1] != e2.Var[0][1] {
 		t.Fatal("EnsembleStats not reproducible")
 	}
@@ -75,9 +82,9 @@ a -> b @ 1
 b -> a @ 0.5
 `)
 	grid := []float64{0.5, 1, 2}
-	seq := EnsembleStatsOpts(net, grid, 400, 5, EnsembleOptions{Workers: 1})
+	seq := EnsembleStats(net, grid, mc.Config{Trials: 400, Seed: 5, Workers: 1}, directOn(net))
 	for _, workers := range []int{2, 3, 8} {
-		par := EnsembleStatsOpts(net, grid, 400, 5, EnsembleOptions{Workers: workers})
+		par := EnsembleStats(net, grid, mc.Config{Trials: 400, Seed: 5, Workers: workers}, directOn(net))
 		for k := range grid {
 			for s := 0; s < net.NumSpecies(); s++ {
 				if d := math.Abs(par.Mean[k][s] - seq.Mean[k][s]); d > 1e-9 {
@@ -88,7 +95,7 @@ b -> a @ 0.5
 				}
 			}
 		}
-		again := EnsembleStatsOpts(net, grid, 400, 5, EnsembleOptions{Workers: workers})
+		again := EnsembleStats(net, grid, mc.Config{Trials: 400, Seed: 5, Workers: workers}, directOn(net))
 		if again.Mean[0][0] != par.Mean[0][0] || again.Var[2][1] != par.Var[2][1] {
 			t.Errorf("workers=%d: not reproducible run-to-run", workers)
 		}
@@ -107,9 +114,9 @@ b -> a @ 0.5
 `)
 	grid := []float64{0.5, 1, 2}
 	const trials = 391
-	base := EnsembleStatsOpts(net, grid, trials, 5, EnsembleOptions{Workers: 1})
+	base := EnsembleStats(net, grid, mc.Config{Trials: trials, Seed: 5, Workers: 1}, directOn(net))
 	for _, workers := range []int{2, 4, 8} {
-		par := EnsembleStatsOpts(net, grid, trials, 5, EnsembleOptions{Workers: workers})
+		par := EnsembleStats(net, grid, mc.Config{Trials: trials, Seed: 5, Workers: workers}, directOn(net))
 		for k := range grid {
 			for s := 0; s < net.NumSpecies(); s++ {
 				if math.Float64bits(par.Mean[k][s]) != math.Float64bits(base.Mean[k][s]) {
@@ -134,12 +141,10 @@ a = 30
 a -> b @ 2
 `)
 	grid := []float64{0.1, 1}
-	direct := EnsembleStatsOpts(net, grid, 300, 9, EnsembleOptions{Workers: 2})
-	optimized := EnsembleStatsOpts(net, grid, 300, 9, EnsembleOptions{
-		Workers: 2,
-		NewEngine: func(n *chem.Network, g *rng.PCG) Engine {
-			return NewOptimizedDirect(n, g)
-		},
+	cfg := mc.Config{Trials: 300, Seed: 9, Workers: 2}
+	direct := EnsembleStats(net, grid, cfg, directOn(net))
+	optimized := EnsembleStats(net, grid, cfg, func(g *rng.PCG) Engine {
+		return NewOptimizedDirect(net, g)
 	})
 	for k := range grid {
 		if d := math.Abs(direct.Mean[k][0] - optimized.Mean[k][0]); d > 1e-9 {
@@ -150,14 +155,19 @@ a -> b @ 2
 
 func TestEnsembleStatsPanics(t *testing.T) {
 	net := chem.MustParseNetwork(`a -> 0 @ 1`)
+	cfg := mc.Config{Trials: 10, Seed: 1}
 	cases := []struct {
 		name string
 		f    func()
 	}{
-		{"empty grid", func() { EnsembleStats(net, nil, 10, 1) }},
-		{"non-increasing", func() { EnsembleStats(net, []float64{1, 1}, 10, 1) }},
-		{"negative", func() { EnsembleStats(net, []float64{-1, 1}, 10, 1) }},
-		{"zero trials", func() { EnsembleStats(net, []float64{1}, 0, 1) }},
+		{"empty grid", func() { EnsembleStats(net, nil, cfg, directOn(net)) }},
+		{"non-increasing", func() { EnsembleStats(net, []float64{1, 1}, cfg, directOn(net)) }},
+		{"negative", func() { EnsembleStats(net, []float64{-1, 1}, cfg, directOn(net)) }},
+		{"zero trials", func() { EnsembleStats(net, []float64{1}, mc.Config{Seed: 1}, directOn(net)) }},
+		// A NaN passes every ordering check and Step(NaN) never reports
+		// Horizon; +Inf never reports it either.
+		{"NaN", func() { EnsembleStats(net, []float64{math.NaN()}, cfg, directOn(net)) }},
+		{"+Inf", func() { EnsembleStats(net, []float64{1, math.Inf(1)}, cfg, directOn(net)) }},
 	}
 	for _, c := range cases {
 		func() {
@@ -169,4 +179,22 @@ func TestEnsembleStatsPanics(t *testing.T) {
 			c.f()
 		}()
 	}
+}
+
+// TestEnsembleStatsEnginePanicReachesCaller: the ensemble runs on mc's
+// pool, so a panicking engine factory is re-raised on the caller's
+// goroutine, where it can be recovered, instead of killing the process
+// from a worker goroutine.
+func TestEnsembleStatsEnginePanicReachesCaller(t *testing.T) {
+	net := chem.MustParseNetwork(`a -> 0 @ 1`)
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "mc: trial body panicked") || !strings.Contains(msg, "no engine") {
+			t.Fatalf("recovered %q, want mc's trial-body panic carrying the factory's message", msg)
+		}
+	}()
+	EnsembleStats(net, []float64{1}, mc.Config{Trials: 8, Seed: 1, Workers: 2}, func(*rng.PCG) Engine {
+		panic("no engine")
+	})
+	t.Fatal("EnsembleStats returned despite a panicking engine factory")
 }

@@ -103,28 +103,13 @@ const Figure3Threshold = 10
 // Figure3MaxSteps bounds one Figure 3 race (deadlock safety net).
 const Figure3MaxSteps = 2_000_000
 
-// Figure3Classifier returns the per-trial classifier of the Figure 3 error
-// experiment on mod: outcome 1 when the trial is in error (the first
-// initializing firing did not determine the winner), 0 when it is correct.
-// It is exported so the internal/shard trial registry can rebuild the
-// exact Figure3ErrorRate trial in a fresh worker process; pair it with one
-// engine per worker (mc.RunWith/RunRangeWith).
-func Figure3Classifier(mod *StochasticModule) func(eng sim.Engine) int {
-	return func(eng sim.Engine) int {
-		if RunRaceWith(mod, eng, Figure3Threshold, Figure3MaxSteps).Error() {
-			return 1
-		}
-		return 0
-	}
-}
-
-// Figure3Observer returns the distribution-trial body of the Figure 3
-// race for internal/shard's dist sweeps: it runs exactly
-// Figure3Classifier's race (one RunRaceWith call, identical stream
-// consumption, so per-trial outcomes agree trial for trial) and returns
-// the full mc.Obs bundle — the race length in reaction events as both the
-// continuous and the integer measurement, and the error indicator
-// (0 correct, 1 error) as the first-passage outcome with its step count.
+// Figure3Observer returns the one trial body of the Figure 3 error
+// experiment on mod, behind Figure3Tally and every Figure 3 sweep form in
+// internal/shard: one RunRaceWith call, returning the error indicator as
+// the outcome (1 when the first initializing firing did not determine the
+// winner, 0 when it did) with the race length in reaction events as its
+// first-passage step count and as both the continuous and the integer
+// measurement. Pair it with one engine per worker (mc.RunWith/RunRangeWith).
 func Figure3Observer(mod *StochasticModule) func(eng sim.Engine) mc.Obs {
 	return func(eng sim.Engine) mc.Obs {
 		r := RunRaceWith(mod, eng, Figure3Threshold, Figure3MaxSteps)
@@ -148,7 +133,7 @@ func Figure3ErrorRate(gamma float64, trials int, seed uint64) (float64, error) {
 
 // Figure3Tally runs the Figure 3 experiment at one γ: trials parallel
 // races of the Figure3Spec module on the given engine kind (empty means
-// OptimizedDirect), tallied by Figure3Classifier (outcome 1 = error). A
+// OptimizedDirect), tallying Figure3Observer's outcome (1 = error). A
 // hybrid engine receives the module's output species as its protected
 // set, so the error statistic — which thresholds on exactly those
 // species — keeps its distribution.
@@ -159,9 +144,10 @@ func Figure3Tally(gamma float64, trials int, seed uint64, kind sim.EngineKind) (
 	}
 	protected := mod.ProtectedSpecies()
 	comp := chem.Compile(mod.Net)
+	observe := Figure3Observer(mod)
 	return mc.RunWith(mc.Config{Trials: trials, Outcomes: 2, Seed: seed},
 		func(gen *rng.PCG) sim.Engine {
 			return sim.MustEngineOfKindCompiled(kind, comp, protected, gen)
 		},
-		Figure3Classifier(mod)), nil
+		func(eng sim.Engine) int { return observe(eng).Outcome }), nil
 }

@@ -167,7 +167,7 @@ func TestFigure3HybridMatchesDirect(t *testing.T) {
 // and must reproduce Direct's stepwise trial outcomes bit for bit on the
 // same seed stream — the strongest possible form of "does no harm". Both
 // engines run stepwiseRace, since Direct's own RunRaceWith races the jump
-// chain. The hybrid's RunRaceWith, the race behind Figure3Classifier and
+// chain. The hybrid's RunRaceWith, the race behind Figure3Observer and
 // the synth/fig3-*-hybrid sweeps, must match that stepwise race trial for
 // trial: splitting off the first step changes none of its draws.
 func TestFigure3HybridBitwiseWhenNotLeaping(t *testing.T) {
@@ -176,7 +176,7 @@ func TestFigure3HybridBitwiseWhenNotLeaping(t *testing.T) {
 		t.Fatal(err)
 	}
 	protected := mod.ProtectedSpecies()
-	classify := Figure3Classifier(mod)
+	observe := Figure3Observer(mod)
 	const trials = 400
 	const seed = 777
 	dirGen := rng.NewStream(seed, 0)
@@ -204,8 +204,8 @@ func TestFigure3HybridBitwiseWhenNotLeaping(t *testing.T) {
 			want = 1
 		}
 		hybGen.Reseed(seed, uint64(i))
-		if got := classify(hyb); got != want {
-			t.Fatalf("trial %d: hybrid Figure3Classifier %d, stepwise race %d", i, got, want)
+		if got := observe(hyb).Outcome; got != want {
+			t.Fatalf("trial %d: hybrid Figure3Observer outcome %d, stepwise race %d", i, got, want)
 		}
 	}
 }
@@ -387,8 +387,8 @@ func TestFigure3TrialZeroAllocs(t *testing.T) {
 		{"optimized", sim.NewOptimizedDirect(mod.Net, gen)},
 		{"hybrid", sim.NewHybrid(mod.Net, mod.ProtectedSpecies(), gen)},
 	}
-	classify := Figure3Classifier(mod)
 	observe := Figure3Observer(mod)
+	classify := func(eng sim.Engine) int { return observe(eng).Outcome }
 	for _, e := range engines {
 		var trial uint64
 		classify(e.eng) // warm up
@@ -397,7 +397,7 @@ func TestFigure3TrialZeroAllocs(t *testing.T) {
 			gen.Reseed(5, trial)
 			classify(e.eng)
 		}); n != 0 {
-			t.Errorf("%s: Figure3Classifier allocates %.1f times per trial, want 0", e.name, n)
+			t.Errorf("%s: the Figure 3 tally trial allocates %.1f times per trial, want 0", e.name, n)
 		}
 		if n := testing.AllocsPerRun(50, func() {
 			trial++
