@@ -9,6 +9,7 @@
 //
 //	-trace            print one stochastic trajectory as CSV (default)
 //	-trials N         Monte Carlo: run N trials and report final-state stats
+//	                  (N >= 0; default 0 = a single trace)
 //	-mean             with -trials: ensemble mean±stderr time-course as CSV
 //	                  (grid of 20 points up to -maxtime, which is required)
 //	-species a,b,c    restrict reporting to these species
@@ -16,9 +17,10 @@
 //	                  (default direct; see docs/engines.md)
 //	-maxtime T        stop a trajectory at simulated time T (finite, >= 0;
 //	                  default 0 = no bound)
-//	-maxsteps N       stop a trajectory after N events (default 1e6); trace
-//	                  and final-state modes only: -mean needs whole
-//	                  trajectories, so it refuses an explicit -maxsteps
+//	-maxsteps N       stop a trajectory after N events (N >= 0; default 1e6;
+//	                  0 = no bound); trace and final-state modes only:
+//	                  -mean needs whole trajectories, so it refuses an
+//	                  explicit -maxsteps
 //	-seed S           RNG seed (default 1)
 //	-validate         validate the network and exit
 //	-dot              print a Graphviz rendering and exit
@@ -45,11 +47,11 @@ import (
 
 func main() {
 	var (
-		trials   = flag.Int("trials", 0, "Monte Carlo trial count (0 = single trace)")
+		trials   = flag.Int("trials", 0, "Monte Carlo trial count, >= 0 (0 = single trace)")
 		species  = flag.String("species", "", "comma-separated species to report (default all)")
 		engine   = flag.String("engine", "direct", "simulation engine: direct|optimized|first-reaction|hybrid")
 		maxTime  = flag.Float64("maxtime", 0, "simulated-time bound (0 = none)")
-		maxSteps = flag.Int64("maxsteps", 1_000_000, "event-count bound of the trace and final-state modes (-mean refuses it)")
+		maxSteps = flag.Int64("maxsteps", 1_000_000, "event-count bound of the trace and final-state modes, >= 0 (0 = none; -mean refuses it)")
 		seed     = flag.Uint64("seed", 1, "RNG seed")
 		mean     = flag.Bool("mean", false, "with -trials: ensemble mean time-course (requires -maxtime)")
 		validate = flag.Bool("validate", false, "validate the network and exit")
@@ -92,6 +94,14 @@ func main() {
 	if math.IsNaN(*maxTime) || math.IsInf(*maxTime, 0) || *maxTime < 0 {
 		fatal(fmt.Errorf("-maxtime %v: want a finite, non-negative time (0 = no bound)", *maxTime))
 	}
+	// Likewise a negative count: sim.Run reads it as "no event bound",
+	// and a negative trial count would run the single trace.
+	if *maxSteps < 0 {
+		fatal(fmt.Errorf("-maxsteps %d: want a non-negative event count (0 = no bound)", *maxSteps))
+	}
+	if *trials < 0 {
+		fatal(fmt.Errorf("-trials %d: want a non-negative trial count (0 = single trace)", *trials))
+	}
 	if *mean && *trials <= 0 {
 		fatal(fmt.Errorf("-mean requires a positive -trials"))
 	}
@@ -112,7 +122,7 @@ func main() {
 	}
 	opts := sim.RunOptions{MaxTime: *maxTime, MaxSteps: *maxSteps}
 
-	if *trials <= 0 {
+	if *trials == 0 {
 		eng := mk(rng.New(*seed))
 		var tr sim.Trajectory
 		opts.OnEvent = tr.RecordAll(eng)

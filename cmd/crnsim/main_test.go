@@ -195,6 +195,43 @@ func TestMaxTimeMustBeFinite(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsFail: a negative -maxsteps or -trials fails naming the
+// flag before anything is simulated. Both used to run: on a = 1, a -> 2 a
+// -maxsteps -1 read as "no event bound" (a mean near 140 where -maxsteps
+// 10 stops every trial by 11 copies), and -trials -3 printed one trace.
+func TestNegativeCountsFail(t *testing.T) {
+	bin, flip := buildCrnsim(t)
+	boom := filepath.Join(t.TempDir(), "boom.crn")
+	if err := os.WriteFile(boom, []byte("a = 1\na -> 2 a @ 1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flag string
+		args []string
+	}{
+		{"-maxsteps", []string{"-trials", "200", "-maxtime", "5", "-maxsteps", "-1", boom}},
+		{"-maxsteps", []string{"-maxtime", "5", "-maxsteps", "-1", boom}},
+		{"-trials", []string{"-trials", "-3", "-maxtime", "0.01", flip}},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, tc.args...)
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exitErr *exec.ExitError
+		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
+			t.Errorf("%v: want exit code 1, got %v", tc.args, err)
+			continue
+		}
+		if !strings.Contains(stderr.String(), tc.flag) {
+			t.Errorf("%v: stderr %q does not mention %s", tc.args, stderr.String(), tc.flag)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: output produced before the failure:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
 // TestFinalStateOnePass: the final-state mode folds every reported
 // species from one pass over the trials, so each species' line is the
 // line a run reporting that species alone prints at the same seed.

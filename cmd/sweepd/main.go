@@ -1,14 +1,9 @@
 // Command sweepd runs distributed Monte Carlo sweeps over the named trial
 // factories in shard.Builtin (see docs/sharding.md).
 //
-// Worker modes execute shards for a remote coordinator. One-shot worker
-// mode speaks the versioned JSON wire format on its standard streams:
-//
-//	sweepd -worker < shardspec.json > shardresult.json
-//
-// Serve mode runs a long-lived network worker: a TCP server speaking the
-// length-prefixed, checksummed shard framing (shard.Serve), drained
-// gracefully on SIGINT/SIGTERM:
+// Serve mode runs a long-lived network worker for remote coordinators: a
+// TCP server speaking the length-prefixed, checksummed shard framing
+// (shard.Serve), drained gracefully on SIGINT/SIGTERM:
 //
 //	sweepd -serve 0.0.0.0:7471
 //
@@ -26,16 +21,17 @@
 //	sweepd -model toggle.crn -obs race -obs-a a:40 -obs-b b:40 \
 //	       -param-rate mka -params 50,100 -trials 20000
 //
-// By default shards run in-process; with -procs each shard runs in a
-// fresh worker process (this binary re-exec'd with -worker), and with
+// By default shards run in-process, one at a time: each shard already
+// spreads its trials over every core through mc's worker pool. With
 // -workers the shards are dispatched over TCP to a fleet of -serve
-// workers. Either way the merged tallies are bit-for-bit identical to a
-// single-process mc.Sweep run. The -dist sweeps accumulate full
-// distribution summaries per grid point (moments, quantile sketch,
+// workers, one in flight per worker. Either way the merged tallies are
+// bit-for-bit identical to a single-process mc.Sweep run, and the summary
+// line counts the shards this run dispatched. The -dist sweeps accumulate
+// full distribution summaries per grid point (moments, quantile sketch,
 // fixed-bin histogram, first-passage steps) with the same bit-for-bit
-// merge guarantee. With -journal every completed shard is
-// durably logged first, so a killed coordinator rerun with the same
-// command resumes from the journal and computes only the missing trials.
+// merge guarantee. With -journal every completed shard is durably logged
+// first, so a killed coordinator rerun with the same command resumes from
+// the journal and computes only the missing trials.
 //
 // Flags (coordinator mode):
 //
@@ -44,12 +40,10 @@
 //	-trials N      total Monte Carlo trials per grid point
 //	-seed S        base RNG seed (default 2007)
 //	-shards K      number of shards to partition the trials into
-//	-procs         one worker process per shard instead of in-process
 //	-workers LIST  comma-separated worker addresses (sweepd -serve fleet)
-//	-shard-timeout D  per-shard network deadline (hung workers time out)
+//	-shard-timeout D  per-shard network deadline (hung workers time out);
+//	               only with -workers
 //	-journal PATH  crash-safe shard journal; an existing journal resumes
-//	-parallel P    concurrent shard dispatches (0 = one at a time; every
-//	               shard already parallelises across the machine's cores)
 //	-retries R     re-dispatch attempts per failing shard (default 1)
 //	-list          print the registered sweep ids and exit
 //
@@ -73,7 +67,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"os/signal"
@@ -91,20 +84,17 @@ import (
 
 func main() {
 	var (
-		worker   = flag.Bool("worker", false, "read one ShardSpec JSON from stdin, write its ShardResult JSON to stdout")
-		serve    = flag.String("serve", "", "serve shards over TCP on this listen address (host:port; :0 picks a port)")
-		sweep    = flag.String("sweep", "", "sweep id to coordinate (see -list)")
-		params   = flag.String("params", "", "comma-separated parameter grid")
-		trials   = flag.Int("trials", 20000, "total Monte Carlo trials per grid point")
-		seed     = flag.Uint64("seed", 2007, "base RNG seed")
-		shards   = flag.Int("shards", 4, "number of shards")
-		procs    = flag.Bool("procs", false, "run each shard in a fresh worker process")
-		workers  = flag.String("workers", "", "comma-separated addresses of sweepd -serve workers to dispatch to")
-		shardTO  = flag.Duration("shard-timeout", 0, "per-shard network round-trip deadline (0 = none); a hung worker's shards time out and retry elsewhere")
-		journal  = flag.String("journal", "", "crash-safe shard journal path; an existing journal resumes the sweep")
-		parallel = flag.Int("parallel", 0, "concurrent shard dispatches (0 = one at a time)")
-		retries  = flag.Int("retries", 1, "re-dispatch attempts per failing shard")
-		list     = flag.Bool("list", false, "list registered sweep ids and exit")
+		serve   = flag.String("serve", "", "serve shards over TCP on this listen address (host:port; :0 picks a port)")
+		sweep   = flag.String("sweep", "", "sweep id to coordinate (see -list)")
+		params  = flag.String("params", "", "comma-separated parameter grid")
+		trials  = flag.Int("trials", 20000, "total Monte Carlo trials per grid point")
+		seed    = flag.Uint64("seed", 2007, "base RNG seed")
+		shards  = flag.Int("shards", 4, "number of shards")
+		workers = flag.String("workers", "", "comma-separated addresses of sweepd -serve workers to dispatch to")
+		shardTO = flag.Duration("shard-timeout", 0, "per-shard network round-trip deadline with -workers (0 = none); a hung worker's shards time out and retry elsewhere")
+		journal = flag.String("journal", "", "crash-safe shard journal path; an existing journal resumes the sweep")
+		retries = flag.Int("retries", 1, "re-dispatch attempts per failing shard")
+		list    = flag.Bool("list", false, "list registered sweep ids and exit")
 
 		model        = flag.String("model", "", "network file (chem reaction-text format) to sweep instead of a registered -sweep")
 		obsKind      = flag.String("obs", "race", "model observable kind: race or endpoint")
@@ -128,10 +118,13 @@ func main() {
 	}
 	// Visit sees only the flags given on the command line, so -obs counts
 	// even when it repeats its default.
+	shardTOSet := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "obs", "obs-a", "obs-b", "obs-value", "param-species", "param-rate", "engine", "max-steps", "hist":
 			modelSpec.explicit = append(modelSpec.explicit, "-"+f.Name)
+		case "shard-timeout":
+			shardTOSet = true
 		}
 	})
 	switch {
@@ -139,18 +132,18 @@ func main() {
 		for _, name := range reg.Names() {
 			fmt.Println(name)
 		}
-	case *worker:
-		if err := runWorker(reg, os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "sweepd:", err)
-			os.Exit(1)
-		}
 	case *serve != "":
 		if err := serveWorker(reg, *serve); err != nil {
 			fmt.Fprintln(os.Stderr, "sweepd:", err)
 			os.Exit(1)
 		}
 	default:
-		if err := coordinate(reg, *sweep, modelSpec, *params, *trials, *seed, *shards, *procs, *workers, *shardTO, *journal, *parallel, *retries); err != nil {
+		if shardTOSet && *workers == "" {
+			// In-process shards have no round trip to bound.
+			fmt.Fprintln(os.Stderr, "sweepd: -shard-timeout applies only with -workers")
+			os.Exit(1)
+		}
+		if err := coordinate(reg, *sweep, modelSpec, *params, *trials, *seed, *shards, *workers, *shardTO, *journal, *retries); err != nil {
 			fmt.Fprintln(os.Stderr, "sweepd:", err)
 			os.Exit(1)
 		}
@@ -258,47 +251,15 @@ func serveWorker(reg *shard.Registry, addr string) error {
 	return nil
 }
 
-// runWorker is the cross-process leg of the protocol: one ShardSpec in,
-// one ShardResult out.
-func runWorker(reg *shard.Registry, in io.Reader, out io.Writer) error {
-	payload, err := io.ReadAll(in)
-	if err != nil {
-		return fmt.Errorf("reading spec: %w", err)
-	}
-	spec, err := shard.DecodeSpec(payload)
-	if err != nil {
-		return err
-	}
-	if os.Getenv("SWEEPD_FAULT") == "worker-panic" {
-		// Fault-injection hook (tests, chaos drills): die the way a buggy
-		// trial body would, so the coordinator-side stderr capture is
-		// exercised against a real panic stack.
-		panic("injected worker fault (SWEEPD_FAULT=worker-panic)")
-	}
-	res, err := shard.Run(spec, reg)
-	if err != nil {
-		return err
-	}
-	encoded, err := res.Encode()
-	if err != nil {
-		return err
-	}
-	_, err = out.Write(append(encoded, '\n'))
-	return err
-}
-
-func coordinate(reg *shard.Registry, sweep string, model modelFlags, params string, trials int, seed uint64, shards_ int, procs bool, workers string, shardTimeout time.Duration, journal string, parallel, retries int) error {
+func coordinate(reg *shard.Registry, sweep string, model modelFlags, params string, trials int, seed uint64, shards_ int, workers string, shardTimeout time.Duration, journal string, retries int) error {
 	if sweep == "" && model.path == "" {
-		return fmt.Errorf("missing -sweep (known: %s) or -model; or use -worker / -serve / -list", strings.Join(reg.Names(), ", "))
+		return fmt.Errorf("missing -sweep (known: %s) or -model; or use -serve / -list", strings.Join(reg.Names(), ", "))
 	}
 	if sweep != "" && model.path != "" {
 		return fmt.Errorf("-sweep and -model are mutually exclusive")
 	}
 	if sweep != "" && len(model.explicit) > 0 {
 		return fmt.Errorf("%s apply only with -model; -sweep %s fixes its own engine and observable", strings.Join(model.explicit, ", "), sweep)
-	}
-	if procs && workers != "" {
-		return fmt.Errorf("-procs and -workers are mutually exclusive")
 	}
 	grid, err := parseGrid(params)
 	if err != nil {
@@ -335,17 +296,14 @@ func coordinate(reg *shard.Registry, sweep string, model modelFlags, params stri
 		}
 	}
 
+	// Every shard already spreads its trials over all of its machine's
+	// cores through mc's worker pool, so one shard at a time fills this
+	// machine and one shard per worker fills a fleet. Tallies are
+	// identical at any width.
 	runner := shard.LocalRunner(reg)
 	mode := "in-process"
-	switch {
-	case procs:
-		self, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("locating own binary for -procs: %w", err)
-		}
-		runner = shard.ExecRunner(self, "-worker")
-		mode = "worker processes"
-	case workers != "":
+	opts := shard.Options{Retries: retries, Parallel: 1}
+	if workers != "" {
 		addrs := strings.Split(workers, ",")
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])
@@ -359,17 +317,10 @@ func coordinate(reg *shard.Registry, sweep string, model modelFlags, params stri
 		defer pool.Close()
 		runner = pool.Runner()
 		mode = fmt.Sprintf("%d network workers", len(addrs))
+		opts.Parallel = len(addrs)
 	}
-	// Every shard already parallelises across the machine's cores
-	// (in-process via mc's worker pool, -procs/-workers via each worker's
-	// own pool), so dispatching one at a time is the no-oversubscription
-	// default; -parallel opts into concurrent dispatch. Tallies are
-	// identical either way.
-	opts := shard.Options{Retries: retries, Parallel: parallel}
-	if opts.Parallel <= 0 {
-		opts.Parallel = 1
-	}
-	opts.OnShardDone = progressHook()
+	var dispatched int
+	opts.OnShardDone = progressHook(&dispatched)
 
 	start := time.Now()
 	var merged shard.ShardResult
@@ -391,16 +342,18 @@ func coordinate(reg *shard.Registry, sweep string, model modelFlags, params stri
 	default:
 		renderTally(merged, grid, spec.Outcomes)
 	}
-	fmt.Printf("%d shards (%s), %s\n", shards_, mode, elapsed)
+	fmt.Printf("%d shards (%s), %s\n", dispatched, mode, elapsed)
 	return nil
 }
 
 // progressHook reports per-shard completion on stderr (results tables stay
-// on stdout) and implements the deterministic crash hook
-// SWEEPD_FAULT=die-after=K: exit hard — journal already fsync'd, nothing
-// flushed gracefully — after the Kth completed shard, which is how the
-// crash-recovery smoke kills a coordinator at an exact point.
-func progressHook() func(done, total int, res shard.ShardResult) {
+// on stdout), records in *dispatched the number of shards this run
+// dispatched (0 when a journal already covers the sweep), and implements
+// the deterministic crash hook SWEEPD_FAULT=die-after=K: exit hard —
+// journal already fsync'd, nothing flushed gracefully — after the Kth
+// completed shard, which is how the crash-recovery smoke kills a
+// coordinator at an exact point.
+func progressHook(dispatched *int) func(done, total int, res shard.ShardResult) {
 	dieAfter := 0
 	if fault, ok := strings.CutPrefix(os.Getenv("SWEEPD_FAULT"), "die-after="); ok {
 		dieAfter, _ = strconv.Atoi(fault)
@@ -409,6 +362,7 @@ func progressHook() func(done, total int, res shard.ShardResult) {
 	return func(done, total int, res shard.ShardResult) {
 		mu.Lock()
 		defer mu.Unlock()
+		*dispatched = total
 		fmt.Fprintf(os.Stderr, "sweepd: shard %v done (%d/%d)\n", res.Ranges, done, total)
 		if dieAfter > 0 && done >= dieAfter {
 			fmt.Fprintln(os.Stderr, "sweepd: injected crash (SWEEPD_FAULT=die-after)")

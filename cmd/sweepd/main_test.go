@@ -61,6 +61,23 @@ func startServeWorker(t *testing.T, bin string) (string, *exec.Cmd) {
 	return "", nil
 }
 
+// serveFleet starts n `sweepd -serve` workers and returns a RemotePool
+// over them, closed before the workers are killed at test end.
+func serveFleet(t *testing.T, bin string, n int) *shard.RemotePool {
+	t.Helper()
+	var addrs []string
+	for i := 0; i < n; i++ {
+		addr, _ := startServeWorker(t, bin)
+		addrs = append(addrs, addr)
+	}
+	pool, err := shard.NewRemotePool(addrs, shard.RemoteOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+	return pool
+}
+
 func encodedOrDie(t *testing.T, res shard.ShardResult) []byte {
 	t.Helper()
 	enc, err := res.Encode()
@@ -79,17 +96,7 @@ func TestServeWorkersMatchSingleProcess(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs child binaries")
 	}
-	bin := buildSweepd(t)
-	var addrs []string
-	for i := 0; i < 3; i++ {
-		addr, _ := startServeWorker(t, bin)
-		addrs = append(addrs, addr)
-	}
-	pool, err := shard.NewRemotePool(addrs, shard.RemoteOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	pool := serveFleet(t, buildSweepd(t), 3)
 
 	// Natural-lambda tally over the fleet ≡ single-process Characterize.
 	const (
@@ -223,29 +230,6 @@ func TestNetworkSweepSurvivesWorkerKill(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicSurfacesStack: a worker process that panics mid-shard
-// must come back from ExecRunner as an error carrying the panic message
-// and goroutine stack — the coordinator's retry log has to say why.
-func TestWorkerPanicSurfacesStack(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and execs child binaries")
-	}
-	bin := buildSweepd(t)
-	t.Setenv("SWEEPD_FAULT", "worker-panic")
-	spec := shard.SweepSpec{
-		Sweep: shard.SweepLambdaSynthetic, Grid: []float64{1}, Trials: 100, Seed: 1, Outcomes: 2,
-	}
-	_, err := shard.ExecRunner(bin, "-worker")(spec.Shard(0, 100))
-	if err == nil {
-		t.Fatal("panicking worker reported success")
-	}
-	for _, needle := range []string{"panic", "injected worker fault", "goroutine"} {
-		if !strings.Contains(err.Error(), needle) {
-			t.Fatalf("worker panic error lacks %q:\n%v", needle, err)
-		}
-	}
-}
-
 // TestJournalResumeCLI drives the kill -9 walkthrough through the real
 // binary: a journaled coordinator run is crashed deterministically after
 // 2 shards (SWEEPD_FAULT=die-after=2), rerun with the identical command,
@@ -292,15 +276,17 @@ func TestJournalResumeCLI(t *testing.T) {
 	}
 }
 
+// TestWorkerProtocolRoundTrip: one shard served by a `sweepd -serve`
+// process encodes byte for byte as the same shard run in-process.
 func TestWorkerProtocolRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs a child binary")
 	}
-	bin := buildSweepd(t)
+	pool := serveFleet(t, buildSweepd(t), 1)
 	spec := shard.SweepSpec{
 		Sweep: shard.SweepLambdaSynthetic, Grid: []float64{1, 5}, Trials: 200, Seed: 42, Outcomes: 2,
 	}
-	viaProcess, err := shard.ExecRunner(bin, "-worker")(spec.Shard(50, 150))
+	viaProcess, err := pool.Runner()(spec.Shard(50, 150))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,10 +309,9 @@ func TestWorkerProtocolRoundTrip(t *testing.T) {
 
 // TestFourProcessNaturalLambdaMatchesCharacterize is the chi-square
 // end-to-end check: the natural lambda model's outcome tally, sharded
-// across 4 worker processes (each a fresh exec of the sweepd worker mode)
-// and merged, must be *identical* to the single-process Characterize
-// result — bit-for-bit equal counts, hence a χ² homogeneity statistic of
-// exactly zero.
+// across 4 `sweepd -serve` worker processes and merged, must be
+// *identical* to the single-process Characterize result — bit-for-bit
+// equal counts, hence a χ² homogeneity statistic of exactly zero.
 func TestFourProcessNaturalLambdaMatchesCharacterize(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and execs child binaries")
@@ -336,12 +321,12 @@ func TestFourProcessNaturalLambdaMatchesCharacterize(t *testing.T) {
 		trials = 4000
 		seed   = uint64(2007)
 	)
-	bin := buildSweepd(t)
+	pool := serveFleet(t, buildSweepd(t), 4)
 	spec := shard.SweepSpec{
 		Sweep: shard.SweepLambdaNatural, Grid: []float64{float64(moi)},
 		Trials: trials, Seed: seed, Outcomes: 2,
 	}
-	merged, err := shard.Coordinate(spec, 4, shard.ExecRunner(bin, "-worker"), shard.Options{})
+	merged, err := shard.Coordinate(spec, 4, pool.Runner(), shard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,7 +369,7 @@ func TestFourProcessNaturalLambdaMatchesCharacterize(t *testing.T) {
 
 // TestFigure3ScaleSweepMatchesMcSweep pins the headline guarantee at the
 // paper's measurement scale: a Figure 3 error-rate sweep, sharded across
-// 4 worker processes via cmd/sweepd, merges to tallies bit-for-bit
+// 4 `sweepd -serve` worker processes, merges to tallies bit-for-bit
 // identical to a plain single-process mc.Sweep over the same γ grid
 // (fresh-engine trials, no sharding machinery on the reference side).
 func TestFigure3ScaleSweepMatchesMcSweep(t *testing.T) {
@@ -395,11 +380,11 @@ func TestFigure3ScaleSweepMatchesMcSweep(t *testing.T) {
 	trials := 100000 // the paper's "100,000 trials" scale
 	const seed = uint64(7)
 
-	bin := buildSweepd(t)
+	pool := serveFleet(t, buildSweepd(t), 4)
 	spec := shard.SweepSpec{
 		Sweep: shard.SweepFig3Error, Grid: gammas, Trials: trials, Seed: seed, Outcomes: 2,
 	}
-	merged, err := shard.Coordinate(spec, 4, shard.ExecRunner(bin, "-worker"), shard.Options{Retries: 1})
+	merged, err := shard.Coordinate(spec, 4, pool.Runner(), shard.Options{Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,6 +484,61 @@ func TestSweepRejectsModelFlags(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: sweep appears to have run before the failure:\n%s", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestShardTimeoutRequiresWorkers: -shard-timeout bounds a network round
+// trip, so without -workers it fails naming the flag before any output,
+// in registry and model mode alike, instead of being silently ignored.
+func TestShardTimeoutRequiresWorkers(t *testing.T) {
+	bin := buildSweepd(t)
+	for _, args := range [][]string{
+		{"-sweep", "lambda/synthetic", "-params", "1", "-trials", "3", "-shards", "4", "-shard-timeout", "1ns"},
+		{"-model", filepath.Join("testdata", "relay-chain.crn"), "-obs-a", "o1:6", "-obs-b", "o2:6",
+			"-param-species", "x", "-params", "17", "-trials", "3", "-shard-timeout", "0"},
+	} {
+		var stdout, stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		exitErr, ok := err.(*exec.ExitError)
+		if !ok || exitErr.ExitCode() != 1 {
+			t.Fatalf("%v: want exit code 1, got %v\nstdout:\n%s", args, err, stdout.String())
+		}
+		if !strings.Contains(stderr.String(), "-shard-timeout") {
+			t.Errorf("%v: stderr %q does not name -shard-timeout", args, stderr.String())
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: output produced before the failure:\n%s", args, stdout.String())
+		}
+	}
+}
+
+// TestSummaryCountsDispatchedShards: the summary line counts the shards
+// this run dispatched, not the -shards request. Three trials make at most
+// three shards; a journaled 5-trial sweep in shards of ⌈5/4⌉ trials makes
+// three; and a rerun that finds its journal complete dispatches none.
+func TestSummaryCountsDispatchedShards(t *testing.T) {
+	bin := buildSweepd(t)
+	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-trials", "3"}, "3 shards (in-process)"},
+		{[]string{"-trials", "5", "-journal", journal}, "3 shards (in-process)"},
+		{[]string{"-trials", "5", "-journal", journal}, "0 shards (in-process)"},
+	} {
+		args := append([]string{"-sweep", "lambda/synthetic", "-params", "1", "-shards", "4"}, tc.args...)
+		out, err := exec.Command(bin, args...).Output()
+		if err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+		if last := lines[len(lines)-1]; !strings.HasPrefix(last, tc.want+",") {
+			t.Errorf("%v: summary %q, want it to start %q", args, last, tc.want)
 		}
 	}
 }

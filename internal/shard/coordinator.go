@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
-	"os/exec"
 	"sort"
 	"strings"
 	"sync"
@@ -79,8 +77,8 @@ func (s SweepSpec) Partition(n int) []ShardSpec {
 	return shards
 }
 
-// Runner executes one shard somewhere — in this process, in a child
-// process, or on another machine — and returns its result.
+// Runner executes one shard somewhere — in this process (LocalRunner) or
+// on a network worker (RemotePool.Runner) — and returns its result.
 type Runner func(spec ShardSpec) (ShardResult, error)
 
 // LocalRunner runs shards in-process against a registry.
@@ -88,54 +86,6 @@ func LocalRunner(reg *Registry) Runner {
 	return func(spec ShardSpec) (ShardResult, error) {
 		return Run(spec, reg)
 	}
-}
-
-// ExecRunner runs each shard in a fresh OS process: it starts the given
-// command (typically a sweepd binary with its -worker flag), writes the
-// ShardSpec JSON to its stdin, and decodes the ShardResult JSON from its
-// stdout. Whatever the worker wrote to stderr — its own error message, a
-// panic with its stack, a library warning — is attached to the returned
-// error on every failure path, so the coordinator's retry log says *why*
-// a worker died, not just that it did.
-func ExecRunner(command string, args ...string) Runner {
-	return func(spec ShardSpec) (ShardResult, error) {
-		payload, err := spec.Encode()
-		if err != nil {
-			return ShardResult{}, err
-		}
-		cmd := exec.Command(command, args...)
-		cmd.Stdin = bytes.NewReader(payload)
-		var stdout, stderr bytes.Buffer
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		if err := cmd.Run(); err != nil {
-			return ShardResult{}, fmt.Errorf("shard: worker %s: %v%s", spec.SpanRange(), err, stderrSuffix(&stderr))
-		}
-		res, err := DecodeResult(stdout.Bytes())
-		if err != nil {
-			// Exit 0 with undecodable output: the worker's stderr is the
-			// only clue to what it actually did.
-			return ShardResult{}, fmt.Errorf("shard: worker %s: %w%s", spec.SpanRange(), err, stderrSuffix(&stderr))
-		}
-		return res, nil
-	}
-}
-
-// maxStderrAttach caps how much worker stderr is folded into an error —
-// enough for a full panic stack, bounded so a log-spewing worker cannot
-// flood the coordinator's own logs. The tail is kept: that is where the
-// panic and the final error live.
-const maxStderrAttach = 16 << 10
-
-func stderrSuffix(stderr *bytes.Buffer) string {
-	msg := strings.TrimSpace(stderr.String())
-	if msg == "" {
-		return ""
-	}
-	if len(msg) > maxStderrAttach {
-		msg = "…" + msg[len(msg)-maxStderrAttach:]
-	}
-	return "\nworker stderr:\n" + msg
 }
 
 // Options tunes Coordinate.

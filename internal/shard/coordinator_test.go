@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"fmt"
 	"net"
 	"strings"
@@ -271,47 +270,6 @@ func TestCoordinateDrainingWorkerShardsReassigned(t *testing.T) {
 		t.Fatalf("coordinator did not survive a draining worker: %v", err)
 	}
 	expectTallyBitwise(t, spec, merged)
-}
-
-// TestExecRunnerAttachesStderr: whatever a worker process writes to
-// stderr must land in the returned error — on non-zero exits and on
-// exit-0-with-garbage alike — so retry logs explain the failure.
-func TestExecRunnerAttachesStderr(t *testing.T) {
-	spec := testSweepSpec().Shard(0, 50)
-
-	_, err := ExecRunner("sh", "-c", "echo the-actual-reason >&2; exit 3")(spec)
-	if err == nil || !strings.Contains(err.Error(), "the-actual-reason") {
-		t.Fatalf("stderr of a failing worker not attached: %v", err)
-	}
-	if !strings.Contains(err.Error(), "exit status 3") {
-		t.Fatalf("exit status missing from error: %v", err)
-	}
-
-	_, err = ExecRunner("sh", "-c", "echo not-json; echo decode-side-clue >&2")(spec)
-	if err == nil || !strings.Contains(err.Error(), "decode-side-clue") {
-		t.Fatalf("stderr of an exit-0 worker with garbage output not attached: %v", err)
-	}
-}
-
-// TestStderrSuffixKeepsTail: a log-spewing worker is capped, keeping the
-// tail where the panic lives.
-func TestStderrSuffixKeepsTail(t *testing.T) {
-	var buf bytes.Buffer
-	for i := 0; i < 4000; i++ {
-		fmt.Fprintf(&buf, "noise line %d\n", i)
-	}
-	buf.WriteString("panic: the part that matters")
-	got := stderrSuffix(&buf)
-	if len(got) > maxStderrAttach+64 {
-		t.Fatalf("suffix not capped: %d bytes", len(got))
-	}
-	if !strings.Contains(got, "panic: the part that matters") {
-		t.Fatal("tail of stderr (the panic) was lost")
-	}
-	var empty bytes.Buffer
-	if s := stderrSuffix(&empty); s != "" {
-		t.Fatalf("empty stderr produced suffix %q", s)
-	}
 }
 
 func TestCoordinateRejectsForeignResult(t *testing.T) {

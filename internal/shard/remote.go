@@ -9,9 +9,7 @@ import (
 )
 
 // RemoteOptions tunes a RemotePool. The zero value is usable: plain TCP
-// dialing with a 5 s dial/handshake timeout, no per-shard deadline, a 2 s
-// keepalive-pong deadline, and a 5 s cooldown before a failed worker is
-// probed again.
+// dialing with a 5 s dial/handshake timeout and no per-shard deadline.
 type RemoteOptions struct {
 	// Dial overrides the transport used to reach a worker address. Tests
 	// inject fault-wrapped connections here; production leaves it nil
@@ -23,24 +21,21 @@ type RemoteOptions struct {
 	// frame. 0 means no deadline — shards can legitimately run for a long
 	// time; set it when the workload's per-shard cost is known.
 	ShardTimeout time.Duration
-	// PingTimeout bounds the keepalive ping that revalidates a pooled
-	// connection before reuse (default 2 s).
-	PingTimeout time.Duration
-	// Cooldown is how long a worker that failed at the transport level is
-	// skipped before being probed again (default 5 s). Workers are always
-	// eligible again when no healthy worker remains.
-	Cooldown time.Duration
 }
+
+const (
+	// pingTimeout bounds the keepalive ping that revalidates a pooled
+	// connection before reuse.
+	pingTimeout = 2 * time.Second
+	// cooldown is how long a worker that failed at the transport level is
+	// skipped before being probed again. Workers are always eligible
+	// again when no healthy worker remains.
+	cooldown = 5 * time.Second
+)
 
 func (o RemoteOptions) withDefaults() RemoteOptions {
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 5 * time.Second
-	}
-	if o.PingTimeout <= 0 {
-		o.PingTimeout = 2 * time.Second
-	}
-	if o.Cooldown <= 0 {
-		o.Cooldown = 5 * time.Second
 	}
 	return o
 }
@@ -162,7 +157,7 @@ func (p *RemotePool) pick() (string, error) {
 	now := time.Now()
 	for i := 0; i < len(p.addrs); i++ {
 		addr := p.addrs[(p.next+i)%len(p.addrs)]
-		if downAt, down := p.down[addr]; down && now.Sub(downAt) < p.opts.Cooldown {
+		if downAt, down := p.down[addr]; down && now.Sub(downAt) < cooldown {
 			continue
 		}
 		p.next = (p.next + i + 1) % len(p.addrs)
@@ -257,7 +252,7 @@ func (p *RemotePool) dial(addr string) (*workerConn, error) {
 
 // ping revalidates a pooled connection with a keepalive round trip.
 func (p *RemotePool) ping(wc *workerConn) error {
-	wc.c.SetDeadline(time.Now().Add(p.opts.PingTimeout))
+	wc.c.SetDeadline(time.Now().Add(pingTimeout))
 	defer wc.c.SetDeadline(time.Time{})
 	if err := writeFrame(wc.w, framePing, nil); err != nil {
 		return err

@@ -9,9 +9,9 @@ import (
 // Run executes one shard in-process: for every grid point it runs the
 // spec's trial range [Lo, Hi) with per-point seeds mc.PointSeed(Seed, i),
 // the exact streams the single-process sweep uses, and tallies into a
-// ShardResult. This is the body of the cmd/sweepd worker mode; workers on
-// different machines produce bit-for-bit the results the coordinator's
-// own process would have.
+// ShardResult. This is the body of LocalRunner and of every network
+// worker (Server); workers on different machines produce bit-for-bit the
+// results the coordinator's own process would have.
 func Run(spec ShardSpec, reg *Registry) (ShardResult, error) {
 	if err := spec.Validate(); err != nil {
 		return ShardResult{}, err

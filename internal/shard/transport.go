@@ -17,8 +17,8 @@ import (
 // (RemotePool, remote.go), speaking a length-prefixed, checksummed,
 // versioned framing of the existing ShardSpec/ShardResult JSON wire
 // format. The framing adds nothing to the shard semantics — a shard
-// computed over the network is byte-identical to one computed by the
-// stdin/stdout worker mode — it only makes the stream self-delimiting and
+// computed over the network is byte-identical to one computed in-process
+// by LocalRunner — it only makes the stream self-delimiting and
 // corruption-evident so a coordinator can multiplex shards over
 // connections and retry cleanly when a worker or link dies.
 //

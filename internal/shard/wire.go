@@ -18,9 +18,8 @@
 //     MergeSummaries merges standalone moment forests.
 //   - A coordinator: SweepSpec.Partition splits a sweep into shards,
 //     Coordinate fans them out over a Runner (in-process via LocalRunner,
-//     one OS process per shard via ExecRunner and the cmd/sweepd worker
-//     mode, or a fleet of long-lived TCP workers via RemotePool/Server)
-//     and merges, reporting missing trial ranges when workers fail.
+//     or a fleet of long-lived TCP workers via RemotePool/Server) and
+//     merges, reporting missing trial ranges when workers fail.
 //     ResumeCoordinate adds crash safety: completed results are written
 //     to an fsync'd, checksummed Journal, and an interrupted sweep
 //     resumes from it, re-dispatching only the missing trial ranges.
@@ -85,7 +84,7 @@ func (r Range) String() string { return fmt.Sprintf("[%d,%d)", r.Lo, r.Hi) }
 
 // ShardSpec describes one shard of a sweep: run trials [Lo, Hi) of every
 // grid point of the named sweep. It is the unit of work handed to a
-// worker (cmd/sweepd -worker reads one from stdin).
+// worker (a cmd/sweepd -serve worker reads one per spec frame).
 type ShardSpec struct {
 	// Version is the wire-format version (FormatVersion).
 	Version int `json:"version"`
