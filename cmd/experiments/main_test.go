@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -94,16 +95,48 @@ func TestValidateEngineSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("-engine %s: %v", kind, err)
 		}
-		var kept []string
-		for _, line := range strings.Split(string(out), "\n") {
-			if !strings.Contains(line, "trials/point)") {
-				kept = append(kept, line)
-			}
-		}
-		tables[kind] = strings.Join(kept, "\n")
+		tables[kind] = untimed(out)
 	}
 	if tables[sim.EngineDirect] != tables[sim.EngineOptimizedDirect] {
 		t.Errorf("direct and optimized Figure 3 tables differ:\n%s\n---\n%s",
 			tables[sim.EngineDirect], tables[sim.EngineOptimizedDirect])
+	}
+}
+
+// untimed drops the "(…, N trials/point)" timing line from an
+// experiment's output, leaving only what a seed determines.
+func untimed(out []byte) string {
+	var kept []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if !strings.Contains(line, "trials/point)") {
+			kept = append(kept, line)
+		}
+	}
+	return strings.Join(kept, "\n")
+}
+
+// TestModulesGolden pins the §2.2.1 module table byte for byte at two
+// (trials, seed) settings: every mode, mean and P(exact) cell is a
+// function of the seed alone. The goldens are the output of
+// `experiments -exp modules -trials T -seed S` with the timing line
+// removed (grep -v 'trials/point)').
+func TestModulesGolden(t *testing.T) {
+	bin := buildExperiments(t)
+	for _, tc := range []struct{ trials, seed, golden string }{
+		{"300", "5", "modules-trials300-seed5.txt"},
+		{"40", "2007", "modules-trials40-seed2007.txt"},
+	} {
+		out, err := exec.Command(bin, "-exp", "modules", "-trials", tc.trials, "-seed", tc.seed).Output()
+		if err != nil {
+			t.Fatalf("-trials %s -seed %s: %v", tc.trials, tc.seed, err)
+		}
+		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := untimed(out); got != string(want) {
+			t.Errorf("-trials %s -seed %s: table differs from %s:\n%s\n--- want ---\n%s",
+				tc.trials, tc.seed, tc.golden, got, want)
+		}
 	}
 }
