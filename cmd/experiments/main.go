@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"time"
 
 	"stochsynth/internal/chem"
@@ -294,63 +295,51 @@ func modules(trials int, seed uint64) {
 		trials = 500 // module checks need far fewer trials per input
 	}
 	tab := plot.Table{Headers: []string{"module", "input", "ideal", "mode", "mean", "P(exact)"}}
+	// add runs n trials of a module and tabulates its final y against ideal.
+	add := func(module, input string, ideal int64, net *chem.Network, done func(chem.State, float64) bool, n int) {
+		h, mean := moduleHist(net, net.MustSpecies("y"), done, n, seed)
+		exact := 0.0 // no trial ended at ideal when it lies outside [Min, Max]
+		if h.Min <= ideal && ideal <= h.Max {
+			exact = h.Fraction(int(ideal - h.Min))
+		}
+		tab.Add(module, input, fmt.Sprint(ideal), fmt.Sprint(h.Mode()),
+			fmt.Sprintf("%.2f", mean), fmt.Sprintf("%.2f", exact))
+	}
 
 	// Linear: 2x → 3y.
 	{
 		net, _ := synth.LinearSpec{Alpha: 2, Beta: 3, X: "x", Y: "y"}.Build()
 		for _, x0 := range []int64{10, 100} {
 			net.SetInitialByName("x", x0)
-			h := moduleHist(net, net.MustSpecies("y"), nil, trials, seed)
-			ideal := 3 * (x0 / 2)
-			tab.Add("linear 2x->3y", fmt.Sprint(x0), fmt.Sprint(ideal), fmt.Sprint(h.Mode()),
-				fmt.Sprintf("%.2f", h.Mean()), fmt.Sprintf("%.2f", h.FractionAt(ideal)))
+			add("linear 2x->3y", fmt.Sprint(x0), 3*(x0/2), net, nil, trials)
 		}
 	}
 	// Exp2.
-	{
-		for _, x0 := range []int64{2, 4, 6} {
-			net, _ := synth.Exp2Spec{X: "x", Y: "y"}.Build()
-			net.SetInitialByName("x", x0)
-			h := moduleHist(net, net.MustSpecies("y"), nil, trials, seed)
-			ideal := int64(1) << uint(x0)
-			tab.Add("exp2", fmt.Sprint(x0), fmt.Sprint(ideal), fmt.Sprint(h.Mode()),
-				fmt.Sprintf("%.2f", h.Mean()), fmt.Sprintf("%.2f", h.FractionAt(ideal)))
-		}
+	for _, x0 := range []int64{2, 4, 6} {
+		net, _ := synth.Exp2Spec{X: "x", Y: "y"}.Build()
+		net.SetInitialByName("x", x0)
+		add("exp2", fmt.Sprint(x0), int64(1)<<uint(x0), net, nil, trials)
 	}
 	// Log2.
-	{
-		for _, x0 := range []int64{8, 32, 100} {
-			spec := synth.Log2Spec{X: "x", Y: "y"}
-			net, _ := spec.Build()
-			net.SetInitialByName("x", x0)
-			h := moduleHist(net, net.MustSpecies("y"), spec.DonePredicate(net), trials, seed)
-			ideal := int64(math.Ceil(math.Log2(float64(x0))))
-			tab.Add("log2", fmt.Sprint(x0), fmt.Sprint(ideal), fmt.Sprint(h.Mode()),
-				fmt.Sprintf("%.2f", h.Mean()), fmt.Sprintf("%.2f", h.FractionAt(ideal)))
-		}
+	for _, x0 := range []int64{8, 32, 100} {
+		spec := synth.Log2Spec{X: "x", Y: "y"}
+		net, _ := spec.Build()
+		net.SetInitialByName("x", x0)
+		add("log2", fmt.Sprint(x0), int64(math.Ceil(math.Log2(float64(x0)))), net, spec.DonePredicate(net), trials)
 	}
 	// Power.
-	{
-		for _, c := range []struct{ x, p, want int64 }{{2, 2, 4}, {3, 2, 9}, {2, 3, 8}} {
-			net, _ := synth.PowerSpec{X: "x", P: "p", Y: "y"}.Build()
-			net.SetInitialByName("x", c.x)
-			net.SetInitialByName("p", c.p)
-			h := moduleHist(net, net.MustSpecies("y"), nil, trials/4+1, seed)
-			tab.Add(fmt.Sprintf("power %d^%d", c.x, c.p), fmt.Sprintf("%d,%d", c.x, c.p),
-				fmt.Sprint(c.want), fmt.Sprint(h.Mode()),
-				fmt.Sprintf("%.2f", h.Mean()), fmt.Sprintf("%.2f", h.FractionAt(c.want)))
-		}
+	for _, c := range []struct{ x, p, want int64 }{{2, 2, 4}, {3, 2, 9}, {2, 3, 8}} {
+		net, _ := synth.PowerSpec{X: "x", P: "p", Y: "y"}.Build()
+		net.SetInitialByName("x", c.x)
+		net.SetInitialByName("p", c.p)
+		add(fmt.Sprintf("power %d^%d", c.x, c.p), fmt.Sprintf("%d,%d", c.x, c.p), c.want, net, nil, trials/4+1)
 	}
 	// Isolation.
-	{
-		for _, y0 := range []int64{5, 50} {
-			net, _ := synth.IsolationSpec{Y: "y", C: "c"}.Build()
-			net.SetInitialByName("y", y0)
-			net.SetInitialByName("c", 3)
-			h := moduleHist(net, net.MustSpecies("y"), nil, trials, seed)
-			tab.Add("isolation", fmt.Sprint(y0), "1", fmt.Sprint(h.Mode()),
-				fmt.Sprintf("%.2f", h.Mean()), fmt.Sprintf("%.2f", h.FractionAt(1)))
-		}
+	for _, y0 := range []int64{5, 50} {
+		net, _ := synth.IsolationSpec{Y: "y", C: "c"}.Build()
+		net.SetInitialByName("y", y0)
+		net.SetInitialByName("c", 3)
+		add("isolation", fmt.Sprint(y0), 1, net, nil, trials)
 	}
 	fmt.Print(tab.Render())
 }
@@ -406,9 +395,13 @@ func pipeline(trials int, seed uint64) {
 	fmt.Printf("4. validation: RMS deviation %.2f percentage points\n", rms)
 }
 
-func moduleHist(net *chem.Network, out chem.Species, done func(chem.State, float64) bool, trials int, seed uint64) *mc.Hist {
-	// Trial i draws from the stream (seed, i) on its worker's reused
-	// engine; the histogram adds the finals in trial order.
+// moduleHist runs trials of a deterministic module and returns the
+// histogram of its final count of out, one unit-width bin per value from
+// the smallest final to the largest, and the finals' mean. Trial i draws
+// from the stream (seed, i) on its worker's reused engine. The 2M-event
+// cap bounds the range of finals, and their integer sum is exact, so the
+// mean is bit for bit any float fold of the same counts.
+func moduleHist(net *chem.Network, out chem.Species, done func(chem.State, float64) bool, trials int, seed uint64) (mc.HistSummary, float64) {
 	comp := chem.Compile(net)
 	st0 := net.InitialState()
 	finals := make([]int64, trials)
@@ -419,9 +412,12 @@ func moduleHist(net *chem.Network, out chem.Species, done func(chem.State, float
 			sim.Run(eng, sim.RunOptions{StopWhen: done, MaxSteps: 2_000_000})
 			finals[i] = eng.State()[out]
 		})
-	h := mc.NewHist()
+	lo, hi := slices.Min(finals), slices.Max(finals)
+	h := mc.NewHistSummary(mc.HistConfig{Lo: lo, Width: 1, Bins: int(hi - lo + 1)})
+	var sum int64
 	for _, v := range finals {
 		h.Add(v)
+		sum += v
 	}
-	return h
+	return h, float64(sum) / float64(trials)
 }

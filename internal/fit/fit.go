@@ -1,7 +1,6 @@
 // Package fit provides the small amount of numerical curve fitting the
-// paper's evaluation needs: linear least squares (via Householder QR), the
-// paper's a + b·log₂(x) + c·x response model (Equation 14), and polynomial
-// fitting for the Taylor-series synthesis path.
+// paper's evaluation needs: linear least squares (via Householder QR) and
+// the paper's a + b·log₂(x) + c·x response model (Equation 14).
 package fit
 
 import (
@@ -171,47 +170,4 @@ func FitLogLin(xs, ys []float64) (LogLin, error) {
 	}
 	m.R2 = RSquared(ys, pred)
 	return m, nil
-}
-
-// Polynomial is a polynomial in ascending-coefficient order:
-// Coeffs[0] + Coeffs[1]·x + Coeffs[2]·x² + …
-type Polynomial struct {
-	Coeffs []float64
-}
-
-// Eval evaluates the polynomial by Horner's rule.
-func (p Polynomial) Eval(x float64) float64 {
-	v := 0.0
-	for i := len(p.Coeffs) - 1; i >= 0; i-- {
-		v = v*x + p.Coeffs[i]
-	}
-	return v
-}
-
-// Degree returns the polynomial degree (−1 for the empty polynomial).
-func (p Polynomial) Degree() int { return len(p.Coeffs) - 1 }
-
-// FitPolynomial fits a degree-d polynomial to the data by least squares.
-func FitPolynomial(xs, ys []float64, degree int) (Polynomial, error) {
-	if degree < 0 {
-		return Polynomial{}, fmt.Errorf("fit: negative degree")
-	}
-	if len(xs) != len(ys) {
-		return Polynomial{}, fmt.Errorf("fit: %d xs but %d ys", len(xs), len(ys))
-	}
-	rows := make([][]float64, len(xs))
-	for i, x := range xs {
-		row := make([]float64, degree+1)
-		v := 1.0
-		for j := 0; j <= degree; j++ {
-			row[j] = v
-			v *= x
-		}
-		rows[i] = row
-	}
-	coef, err := LeastSquares(rows, ys)
-	if err != nil {
-		return Polynomial{}, err
-	}
-	return Polynomial{Coeffs: coef}, nil
 }

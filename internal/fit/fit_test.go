@@ -129,49 +129,6 @@ func TestLogLinString(t *testing.T) {
 	}
 }
 
-func TestFitPolynomialExact(t *testing.T) {
-	// y = 1 − 2x + x² from exact samples.
-	var xs, ys []float64
-	for i := -3; i <= 3; i++ {
-		x := float64(i)
-		xs = append(xs, x)
-		ys = append(ys, 1-2*x+x*x)
-	}
-	p, err := FitPolynomial(xs, ys, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, -2, 1}
-	for i, w := range want {
-		if math.Abs(p.Coeffs[i]-w) > 1e-9 {
-			t.Fatalf("coeffs = %v, want %v", p.Coeffs, want)
-		}
-	}
-	if p.Degree() != 2 {
-		t.Fatalf("degree = %d", p.Degree())
-	}
-}
-
-func TestFitPolynomialErrors(t *testing.T) {
-	if _, err := FitPolynomial([]float64{1}, []float64{1}, -1); err == nil {
-		t.Error("negative degree accepted")
-	}
-	if _, err := FitPolynomial([]float64{1}, []float64{1, 2}, 1); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestPolynomialEvalHorner(t *testing.T) {
-	p := Polynomial{Coeffs: []float64{1, 0, 2}} // 1 + 2x²
-	if got := p.Eval(3); got != 19 {
-		t.Fatalf("Eval(3) = %v, want 19", got)
-	}
-	empty := Polynomial{}
-	if empty.Eval(5) != 0 || empty.Degree() != -1 {
-		t.Fatal("empty polynomial misbehaves")
-	}
-}
-
 func TestRSquaredPerfectAndPoor(t *testing.T) {
 	obs := []float64{1, 2, 3}
 	if got := RSquared(obs, []float64{1, 2, 3}); got != 1 {

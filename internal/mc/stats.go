@@ -1,9 +1,6 @@
 package mc
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Proportion is a binomial proportion estimator: Successes out of Trials.
 type Proportion struct {
@@ -57,89 +54,3 @@ func (p Proportion) Wilson(z float64) (lo, hi float64) {
 
 // Z95 is the normal quantile for 95% two-sided intervals.
 const Z95 = 1.959963984540054
-
-// Hist is an integer-valued histogram with dynamic bounds, used to inspect
-// output-count distributions of deterministic modules.
-type Hist struct {
-	counts map[int64]int64
-	n      int64
-	min    int64
-	max    int64
-}
-
-// NewHist returns an empty histogram.
-func NewHist() *Hist {
-	return &Hist{counts: make(map[int64]int64)}
-}
-
-// Add records one observation.
-func (h *Hist) Add(v int64) {
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
-		h.max = v
-	}
-	h.counts[v]++
-	h.n++
-}
-
-// N returns the number of observations.
-func (h *Hist) N() int64 { return h.n }
-
-// Count returns the number of observations equal to v.
-func (h *Hist) Count(v int64) int64 { return h.counts[v] }
-
-// Bounds returns the minimum and maximum observed values. It is only
-// meaningful when N > 0.
-func (h *Hist) Bounds() (min, max int64) { return h.min, h.max }
-
-// sortedValues returns the observed values in increasing order. Mean and
-// Mode iterate these instead of scanning every integer in [min, max]: the
-// observation set is usually sparse next to its bounds, and one outlier
-// must not turn a walk into a billion-iteration scan.
-func (h *Hist) sortedValues() []int64 {
-	vs := make([]int64, 0, len(h.counts))
-	for v := range h.counts {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
-}
-
-// Mean returns the sample mean. The sum runs over the observed values in
-// increasing order — never over map iteration order — so the result is
-// bit-for-bit reproducible across runs.
-func (h *Hist) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range h.sortedValues() {
-		// Fixed ascending-value order; a Hist is a single-process
-		// diagnostic, never merged across shards.
-		sum += float64(v) * float64(h.counts[v]) //stochlint:allow floataccum
-	}
-	return sum / float64(h.n)
-}
-
-// Mode returns the most frequent value (smallest such value on ties). It is
-// only meaningful when N > 0.
-func (h *Hist) Mode() int64 {
-	var best int64
-	var bestCount int64 = -1
-	for _, v := range h.sortedValues() {
-		if c := h.counts[v]; c > bestCount {
-			best, bestCount = v, c
-		}
-	}
-	return best
-}
-
-// FractionAt returns the fraction of observations equal to v.
-func (h *Hist) FractionAt(v int64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return float64(h.counts[v]) / float64(h.n)
-}

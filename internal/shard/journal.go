@@ -43,7 +43,6 @@ const journalMagic = "SSJRNL1\n"
 type Journal struct {
 	mu   sync.Mutex
 	f    *os.File
-	path string
 	want ShardResult // identity header results must match
 	err  error       // first append failure; the journal is dead after one
 }
@@ -130,7 +129,7 @@ func OpenJournal(path string, spec SweepSpec) (*Journal, []ShardResult, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("shard: journal %s is in use by another coordinator: %w", path, err)
 	}
-	j := &Journal{f: f, path: path, want: resultHeader(full)}
+	j := &Journal{f: f, want: resultHeader(full)}
 	if good == 0 {
 		if err := f.Truncate(0); err != nil {
 			f.Close()
@@ -266,9 +265,6 @@ func (j *Journal) appendRecord(payload []byte) error {
 	}
 	return nil
 }
-
-// Path returns the journal's file path.
-func (j *Journal) Path() string { return j.path }
 
 // Close releases the journal's lock and closes the file. Results already
 // appended stay durable.

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"stochsynth/internal/chem"
@@ -9,6 +10,36 @@ import (
 	"stochsynth/internal/rng"
 	"stochsynth/internal/sim"
 )
+
+// finalsHist is the histogram of a module's final output counts over its
+// trials, built as cmd/experiments' module table builds it: one unit-width
+// mc.HistSummary bin per value from the smallest final to the largest,
+// plus the finals' exact integer sum for the mean.
+type finalsHist struct {
+	mc.HistSummary
+	sum int64
+}
+
+func histOf(finals []int64) finalsHist {
+	lo, hi := slices.Min(finals), slices.Max(finals)
+	h := finalsHist{HistSummary: mc.NewHistSummary(mc.HistConfig{Lo: lo, Width: 1, Bins: int(hi - lo + 1)})}
+	for _, v := range finals {
+		h.Add(v)
+		h.sum += v
+	}
+	return h
+}
+
+// Mean returns the mean final count.
+func (h finalsHist) Mean() float64 { return float64(h.sum) / float64(h.N) }
+
+// FractionAt returns the fraction of trials that ended at v.
+func (h finalsHist) FractionAt(v int64) float64 {
+	if v < h.Min || v > h.Max {
+		return 0
+	}
+	return h.Fraction(int(v - h.Min))
+}
 
 func TestRateBands(t *testing.T) {
 	b := RateBands{Slowest: 1e-3, Sep: 1e3}
@@ -111,7 +142,7 @@ func TestExp2ModuleComputesPowersOfTwo(t *testing.T) {
 		net.SetInitialByName("x", x0)
 		y := net.MustSpecies("y")
 		want := int64(1) << uint(x0)
-		hist := mc.NewHist()
+		var finals []int64
 		const trials = 200
 		for seed := uint64(0); seed < trials; seed++ {
 			eng := sim.NewDirect(net, rng.New(seed))
@@ -119,8 +150,9 @@ func TestExp2ModuleComputesPowersOfTwo(t *testing.T) {
 			if res.Reason != sim.StopQuiescent {
 				t.Fatalf("X0=%d: exp2 did not quiesce (%v)", x0, res.Reason)
 			}
-			hist.Add(eng.State()[y])
+			finals = append(finals, eng.State()[y])
 		}
+		hist := histOf(finals)
 		if mode := hist.Mode(); mode != want {
 			t.Errorf("X0=%d: mode Y∞ = %d, want %d (mean %.2f)", x0, mode, want, hist.Mean())
 		}
@@ -177,7 +209,7 @@ func TestLog2ModuleComputesFloorLog(t *testing.T) {
 		net.SetInitialByName("x", c.x0)
 		y := net.MustSpecies("y")
 		done := spec.DonePredicate(net)
-		hist := mc.NewHist()
+		var finals []int64
 		const trials = 150
 		for seed := uint64(0); seed < trials; seed++ {
 			eng := sim.NewDirect(net, rng.New(seed))
@@ -185,8 +217,9 @@ func TestLog2ModuleComputesFloorLog(t *testing.T) {
 			if res.Reason != sim.StopPredicate {
 				t.Fatalf("X0=%d: log2 did not converge (%v)", c.x0, res.Reason)
 			}
-			hist.Add(eng.State()[y])
+			finals = append(finals, eng.State()[y])
 		}
+		hist := histOf(finals)
 		if mode := hist.Mode(); mode != c.want {
 			t.Errorf("X0=%d: mode Y∞ = %d, want %d (mean %.2f)", c.x0, mode, c.want, hist.Mean())
 		}
@@ -224,7 +257,7 @@ func TestPowerModuleComputesPowers(t *testing.T) {
 		net.SetInitialByName("x", c.x0)
 		net.SetInitialByName("p", c.p0)
 		y := net.MustSpecies("y")
-		hist := mc.NewHist()
+		var finals []int64
 		const trials = 60
 		for seed := uint64(0); seed < trials; seed++ {
 			eng := sim.NewDirect(net, rng.New(seed))
@@ -232,8 +265,9 @@ func TestPowerModuleComputesPowers(t *testing.T) {
 			if res.Reason != sim.StopQuiescent {
 				t.Fatalf("X=%d P=%d: power did not quiesce (%v)", c.x0, c.p0, res.Reason)
 			}
-			hist.Add(eng.State()[y])
+			finals = append(finals, eng.State()[y])
 		}
+		hist := histOf(finals)
 		if mode := hist.Mode(); mode != c.want {
 			t.Errorf("X=%d P=%d: mode Y∞ = %d, want %d (mean %.2f)",
 				c.x0, c.p0, mode, c.want, hist.Mean())
@@ -294,7 +328,7 @@ func TestIsolationThenExp2Pipeline(t *testing.T) {
 	net.SetInitialByName("c", 3)
 	net.SetInitialByName("x", 3)
 	y := net.MustSpecies("y")
-	hist := mc.NewHist()
+	var finals []int64
 	const trials = 150
 	for seed := uint64(0); seed < trials; seed++ {
 		eng := sim.NewDirect(net, rng.New(seed))
@@ -302,8 +336,9 @@ func TestIsolationThenExp2Pipeline(t *testing.T) {
 		if res.Reason != sim.StopQuiescent {
 			t.Fatalf("pipeline did not quiesce: %v", res.Reason)
 		}
-		hist.Add(eng.State()[y])
+		finals = append(finals, eng.State()[y])
 	}
+	hist := histOf(finals)
 	if mode := hist.Mode(); mode != 8 {
 		t.Fatalf("pipeline mode Y∞ = %d, want 8 (mean %.2f)", mode, hist.Mean())
 	}

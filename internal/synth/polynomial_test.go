@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"stochsynth/internal/chem"
-	"stochsynth/internal/mc"
 	"stochsynth/internal/rng"
 	"stochsynth/internal/sim"
 )
 
-func polyHist(t *testing.T, coeffs []int64, x int64, trials int) *mc.Hist {
+func polyHist(t *testing.T, coeffs []int64, x int64, trials int) finalsHist {
 	t.Helper()
 	spec := PolynomialSpec{Coeffs: coeffs, X: "x", Y: "y"}
 	net, err := spec.Build()
@@ -19,16 +18,16 @@ func polyHist(t *testing.T, coeffs []int64, x int64, trials int) *mc.Hist {
 	}
 	net.SetInitialByName("x", x)
 	y := net.MustSpecies("y")
-	h := mc.NewHist()
+	var finals []int64
 	for i := 0; i < trials; i++ {
 		eng := sim.NewDirect(net, rng.NewStream(uint64(x)*1000+7, uint64(i)))
 		res := sim.Run(eng, sim.RunOptions{MaxSteps: 5_000_000})
 		if res.Reason != sim.StopQuiescent {
 			t.Fatalf("polynomial %v at x=%d did not quiesce: %v", coeffs, x, res.Reason)
 		}
-		h.Add(eng.State()[y])
+		finals = append(finals, eng.State()[y])
 	}
-	return h
+	return histOf(finals)
 }
 
 func TestEvalPolynomial(t *testing.T) {
