@@ -7,6 +7,9 @@
 //
 //	sweepd -serve 0.0.0.0:7471
 //
+// A worker takes no other flag: it runs whatever shards its coordinators
+// send.
+//
 // Coordinator mode partitions a sweep, fans the shards out, and merges:
 //
 //	sweepd -sweep lambda/natural -params 1,2,3 -trials 100000 -shards 8
@@ -39,12 +42,13 @@
 //	-params LIST   comma-separated parameter grid (MOIs, or γ for fig3)
 //	-trials N      total Monte Carlo trials per grid point
 //	-seed S        base RNG seed (default 2007)
-//	-shards K      number of shards to partition the trials into
+//	-shards K      number of shards to partition the trials into (K ≥ 1)
 //	-workers LIST  comma-separated worker addresses (sweepd -serve fleet)
 //	-shard-timeout D  per-shard network deadline (hung workers time out);
-//	               only with -workers
+//	               only with -workers; 0 = none
 //	-journal PATH  crash-safe shard journal; an existing journal resumes
-//	-retries R     re-dispatch attempts per failing shard (default 1)
+//	-retries R     re-dispatch attempts per failing shard (default 1;
+//	               0 = none)
 //	-list          print the registered sweep ids and exit
 //
 // Flags (model mode, replacing -sweep; a registered -sweep fixes its own
@@ -62,6 +66,11 @@
 //	-max-steps N        per-trial jump-chain bound (default: the wire default)
 //	-hist LO:WIDTH:BINS histogram layout; makes the sweep a distribution
 //	                    sweep (full per-point summaries, like -dist sweeps)
+//
+// A flag the chosen mode cannot use is never ignored: -serve with any
+// other flag, a model flag with -sweep, -shard-timeout without -workers,
+// -shards below 1 and a negative -retries or -shard-timeout each exit 1
+// naming the flag, before anything runs, listens or prints.
 package main
 
 import (
@@ -84,16 +93,16 @@ import (
 
 func main() {
 	var (
-		serve   = flag.String("serve", "", "serve shards over TCP on this listen address (host:port; :0 picks a port)")
+		serve   = flag.String("serve", "", "serve shards over TCP on this listen address (host:port; :0 picks a port); takes no other flag")
 		sweep   = flag.String("sweep", "", "sweep id to coordinate (see -list)")
 		params  = flag.String("params", "", "comma-separated parameter grid")
 		trials  = flag.Int("trials", 20000, "total Monte Carlo trials per grid point")
 		seed    = flag.Uint64("seed", 2007, "base RNG seed")
-		shards  = flag.Int("shards", 4, "number of shards")
+		shards  = flag.Int("shards", 4, "number of shards (at least 1)")
 		workers = flag.String("workers", "", "comma-separated addresses of sweepd -serve workers to dispatch to")
-		shardTO = flag.Duration("shard-timeout", 0, "per-shard network round-trip deadline with -workers (0 = none); a hung worker's shards time out and retry elsewhere")
+		shardTO = flag.Duration("shard-timeout", 0, "per-shard network round-trip deadline, only with -workers (0 = none); a hung worker's shards time out and retry elsewhere")
 		journal = flag.String("journal", "", "crash-safe shard journal path; an existing journal resumes the sweep")
-		retries = flag.Int("retries", 1, "re-dispatch attempts per failing shard")
+		retries = flag.Int("retries", 1, "re-dispatch attempts per failing shard (0 = none)")
 		list    = flag.Bool("list", false, "list registered sweep ids and exit")
 
 		model        = flag.String("model", "", "network file (chem reaction-text format) to sweep instead of a registered -sweep")
@@ -109,6 +118,40 @@ func main() {
 	)
 	flag.Parse()
 
+	// Each mode reads only some flags. One pass over the flags given on
+	// the command line (Visit skips the rest, so -obs counts even when it
+	// repeats its default) names every flag the mode cannot use, and every
+	// count out of range, before anything runs, listens or prints.
+	refusal := func(name string) string {
+		switch {
+		case *serve != "":
+			if name != "serve" {
+				return "cannot be used with -serve: a worker runs the shards its coordinators send"
+			}
+		case modelOnly[name] && *sweep != "":
+			return fmt.Sprintf("can be used only with -model: -sweep %s fixes its own engine and observable", *sweep)
+		case name == "shard-timeout" && *workers == "":
+			return "can be used only with -workers: in-process shards have no round trip to bound"
+		case name == "shard-timeout" && *shardTO < 0:
+			return fmt.Sprintf("%v: want a non-negative deadline (0 = none)", *shardTO)
+		case name == "shards" && *shards < 1:
+			return fmt.Sprintf("%d: want at least one shard", *shards)
+		case name == "retries" && *retries < 0:
+			return fmt.Sprintf("%d: want a non-negative retry count", *retries)
+		}
+		return ""
+	}
+	refused := false
+	flag.Visit(func(f *flag.Flag) {
+		if why := refusal(f.Name); why != "" {
+			fmt.Fprintf(os.Stderr, "sweepd: -%s %s\n", f.Name, why)
+			refused = true
+		}
+	})
+	if refused {
+		os.Exit(1)
+	}
+
 	reg := shard.Builtin()
 	scenario.Register(reg)
 	modelSpec := modelFlags{
@@ -116,17 +159,6 @@ func main() {
 		paramSpecies: *paramSpecies, paramRate: *paramRate,
 		engine: *engine, maxSteps: *maxSteps, hist: *hist,
 	}
-	// Visit sees only the flags given on the command line, so -obs counts
-	// even when it repeats its default.
-	shardTOSet := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "obs", "obs-a", "obs-b", "obs-value", "param-species", "param-rate", "engine", "max-steps", "hist":
-			modelSpec.explicit = append(modelSpec.explicit, "-"+f.Name)
-		case "shard-timeout":
-			shardTOSet = true
-		}
-	})
 	switch {
 	case *list:
 		for _, name := range reg.Names() {
@@ -138,16 +170,18 @@ func main() {
 			os.Exit(1)
 		}
 	default:
-		if shardTOSet && *workers == "" {
-			// In-process shards have no round trip to bound.
-			fmt.Fprintln(os.Stderr, "sweepd: -shard-timeout applies only with -workers")
-			os.Exit(1)
-		}
 		if err := coordinate(reg, *sweep, modelSpec, *params, *trials, *seed, *shards, *workers, *shardTO, *journal, *retries); err != nil {
 			fmt.Fprintln(os.Stderr, "sweepd:", err)
 			os.Exit(1)
 		}
 	}
+}
+
+// modelOnly holds the flags that shape a -model sweep; a registered
+// -sweep fixes its own engine and observable.
+var modelOnly = map[string]bool{
+	"obs": true, "obs-a": true, "obs-b": true, "obs-value": true,
+	"param-species": true, "param-rate": true, "engine": true, "max-steps": true, "hist": true,
 }
 
 // modelFlags bundles the -model flag set; zero path means registry mode.
@@ -157,7 +191,6 @@ type modelFlags struct {
 	engine                  string
 	maxSteps                int64
 	hist                    string
-	explicit                []string // the model flags given on the command line
 }
 
 // networkSpec builds and validates the wire payload from the -model
@@ -257,9 +290,6 @@ func coordinate(reg *shard.Registry, sweep string, model modelFlags, params stri
 	}
 	if sweep != "" && model.path != "" {
 		return fmt.Errorf("-sweep and -model are mutually exclusive")
-	}
-	if sweep != "" && len(model.explicit) > 0 {
-		return fmt.Errorf("%s apply only with -model; -sweep %s fixes its own engine and observable", strings.Join(model.explicit, ", "), sweep)
 	}
 	grid, err := parseGrid(params)
 	if err != nil {

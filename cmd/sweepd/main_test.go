@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"os/exec"
@@ -512,6 +513,51 @@ func TestShardTimeoutRequiresWorkers(t *testing.T) {
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: output produced before the failure:\n%s", args, stdout.String())
+		}
+	}
+}
+
+// TestFlagsRefusedByName: out-of-range counts and flags a -serve worker
+// cannot use exit 1 naming each flag, before any output. Read as they
+// used to be, -shards below 1 ran one shard, a negative -retries no
+// retries and a negative -shard-timeout no deadline, each exiting 0, and
+// -serve ignored the rest and served. The deadline case runs against a
+// live worker, so only the refusal, not a failed dial, can stop it; the
+// test's deadline kills a worker that serves anyway.
+func TestFlagsRefusedByName(t *testing.T) {
+	bin := buildSweepd(t)
+	addr, _ := startServeWorker(t, bin)
+	sweep := []string{"-sweep", "lambda/synthetic", "-params", "1", "-trials", "40"}
+	for _, tc := range []struct {
+		args  []string
+		names []string
+	}{
+		{append(sweep, "-shards", "-2"), []string{"-shards"}},
+		{append(sweep, "-shards", "0"), []string{"-shards"}},
+		{append(sweep, "-retries", "-3"), []string{"-retries"}},
+		{append(sweep, "-shard-timeout", "-1s", "-workers", addr), []string{"-shard-timeout"}},
+		{[]string{"-serve", "127.0.0.1:0", "-sweep", "bogus/x", "-journal", filepath.Join(t.TempDir(), "missing", "j"), "-shard-timeout", "1s"},
+			[]string{"-sweep", "-journal", "-shard-timeout"}},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		var stdout, stderr bytes.Buffer
+		cmd := exec.CommandContext(ctx, bin, tc.args...)
+		cmd.Stdout = &stdout
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		cancel()
+		exitErr, ok := err.(*exec.ExitError)
+		if !ok || exitErr.ExitCode() != 1 {
+			t.Errorf("%v: want exit code 1, got %v\nstdout:\n%s", tc.args, err, stdout.String())
+			continue
+		}
+		for _, name := range tc.names {
+			if !strings.Contains(stderr.String(), name+" ") {
+				t.Errorf("%v: stderr %q does not name %s", tc.args, stderr.String(), name)
+			}
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%v: output produced before the failure:\n%s", tc.args, stdout.String())
 		}
 	}
 }
