@@ -7,9 +7,6 @@
 //
 //	sweepd -serve 0.0.0.0:7471
 //
-// A worker takes no other flag: it runs whatever shards its coordinators
-// send.
-//
 // Coordinator mode partitions a sweep, fans the shards out, and merges:
 //
 //	sweepd -sweep lambda/natural -params 1,2,3 -trials 100000 -shards 8
