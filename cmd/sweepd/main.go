@@ -64,8 +64,8 @@
 //	-hist LO:WIDTH:BINS histogram layout; makes the sweep a distribution
 //	                    sweep (full per-point summaries, like -dist sweeps)
 //
-// A flag the chosen mode cannot use is never ignored: -serve with any
-// other flag, a model flag with -sweep, -shard-timeout without -workers,
+// A worker or coordinator never ignores a flag it cannot use: -serve with
+// any other flag, a model flag with -sweep, -shard-timeout without -workers,
 // -shards below 1 and a negative -retries or -shard-timeout each exit 1
 // naming the flag, before anything runs, listens or prints.
 package main
