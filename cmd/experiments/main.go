@@ -16,7 +16,10 @@
 //	            See docs/engines.md.
 //
 // The tool prints measured values next to the paper's reported/derived
-// values so deviations are visible at a glance.
+// values so deviations are visible at a glance. Each experiment ends with a
+// timing line giving its wall time and the trials it ran per point, which
+// can be fewer than -trials: modules runs at most 500 per input (its power
+// rows about a quarter of that), pipeline at most 5000, and fig4 none.
 package main
 
 import (
@@ -58,41 +61,46 @@ func main() {
 	}
 	engineKind = kind
 
-	run := func(name string, f func(int, uint64)) {
-		fmt.Printf("==== %s ====\n", name)
-		start := time.Now()
-		f(*trials, *seed)
-		fmt.Printf("(%s, %d trials/point)\n\n", time.Since(start).Round(time.Millisecond), *trials)
+	var chosen []experiment
+	for _, e := range experiments {
+		if *exp == "all" || *exp == e.name {
+			chosen = append(chosen, e)
+		}
 	}
-
-	switch *exp {
-	case "fig3":
-		run("Figure 3: stochastic-module error vs gamma", figure3)
-	case "fig4":
-		run("Figure 4: synthetic lambda model", figure4)
-	case "fig5":
-		run("Figure 5: lambda probabilistic response", figure5)
-	case "ex1":
-		run("Example 1: programmed 0.3/0.4/0.3 distribution", example1)
-	case "ex2":
-		run("Example 2: affine input dependence", example2)
-	case "modules":
-		run("Section 2.2.1: deterministic modules", modules)
-	case "pipeline":
-		run("Section 3 methodology: characterise -> fit -> synthesise -> validate", pipeline)
-	case "all":
-		run("Figure 3: stochastic-module error vs gamma", figure3)
-		run("Figure 4: synthetic lambda model", figure4)
-		run("Figure 5: lambda probabilistic response", figure5)
-		run("Example 1: programmed 0.3/0.4/0.3 distribution", example1)
-		run("Example 2: affine input dependence", example2)
-		run("Section 2.2.1: deterministic modules", modules)
-		run("Section 3 methodology: characterise -> fit -> synthesise -> validate", pipeline)
-	default:
+	if len(chosen) == 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unknown -exp %q\n", *exp)
 		os.Exit(2)
 	}
+	for _, e := range chosen {
+		fmt.Printf("==== %s ====\n", e.title)
+		start := time.Now()
+		e.run(*trials, *seed)
+		fmt.Printf("(%s, %s)\n\n", time.Since(start).Round(time.Millisecond), e.ran(*trials))
+	}
 }
+
+// experiment is one -exp value: its title, its body, and ran, the trials
+// it runs per point at -trials n, which its timing line reports.
+type experiment struct {
+	name, title string
+	run         func(trials int, seed uint64)
+	ran         func(n int) string
+}
+
+// experiments lists every -exp value in the order -exp all runs them.
+var experiments = []experiment{
+	{"fig3", "Figure 3: stochastic-module error vs gamma", figure3, perPoint},
+	{"fig4", "Figure 4: synthetic lambda model", figure4, func(int) string { return perPoint(0) }},
+	{"fig5", "Figure 5: lambda probabilistic response", figure5, perPoint},
+	{"ex1", "Example 1: programmed 0.3/0.4/0.3 distribution", example1, perPoint},
+	{"ex2", "Example 2: affine input dependence", example2, perPoint},
+	{"modules", "Section 2.2.1: deterministic modules", modules, modulesRan},
+	{"pipeline", "Section 3 methodology: characterise -> fit -> synthesise -> validate", pipeline,
+		func(n int) string { return perPoint(pipelineTrials(n)) }},
+}
+
+// perPoint formats a trial count for the timing line.
+func perPoint(n int) string { return fmt.Sprintf("%d trials/point", n) }
 
 // engineKind is the -engine flag: the engine the Monte Carlo sweeps run on
 // (empty = OptimizedDirect).
@@ -289,11 +297,24 @@ func example2(trials int, seed uint64) {
 	fmt.Print(tab.Render())
 }
 
+// moduleTrials caps -trials for the module checks, which need far fewer
+// trials per input; powerTrials is the power rows' share of that.
+func moduleTrials(n int) int { return min(n, 500) }
+func powerTrials(n int) int  { return n/4 + 1 }
+
+// modulesRan reports the trials modules runs per input at -trials n,
+// naming the power rows' count where it differs.
+func modulesRan(n int) string {
+	n = moduleTrials(n)
+	if p := powerTrials(n); p != n {
+		return fmt.Sprintf("%s; power rows %s", perPoint(n), perPoint(p))
+	}
+	return perPoint(n)
+}
+
 // modules verifies each deterministic module's function over a small sweep.
 func modules(trials int, seed uint64) {
-	if trials > 500 {
-		trials = 500 // module checks need far fewer trials per input
-	}
+	trials = moduleTrials(trials)
 	tab := plot.Table{Headers: []string{"module", "input", "ideal", "mode", "mean", "P(exact)"}}
 	// add runs n trials of a module and tabulates its final y against ideal.
 	add := func(module, input string, ideal int64, net *chem.Network, done func(chem.State, float64) bool, n int) {
@@ -332,7 +353,7 @@ func modules(trials int, seed uint64) {
 		net, _ := synth.PowerSpec{X: "x", P: "p", Y: "y"}.Build()
 		net.SetInitialByName("x", c.x)
 		net.SetInitialByName("p", c.p)
-		add(fmt.Sprintf("power %d^%d", c.x, c.p), fmt.Sprintf("%d,%d", c.x, c.p), c.want, net, nil, trials/4+1)
+		add(fmt.Sprintf("power %d^%d", c.x, c.p), fmt.Sprintf("%d,%d", c.x, c.p), c.want, net, nil, powerTrials(trials))
 	}
 	// Isolation.
 	for _, y0 := range []int64{5, 50} {
@@ -348,9 +369,7 @@ func modules(trials int, seed uint64) {
 // system, fit, quantise, synthesise, and validate the synthetic system
 // against the natural response.
 func pipeline(trials int, seed uint64) {
-	if trials > 5000 {
-		trials = 5000
-	}
+	trials = pipelineTrials(trials)
 	mois := []int64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	natural, err := lambda.NaturalModel(lambda.NaturalParams{})
 	if err != nil {
@@ -394,6 +413,9 @@ func pipeline(trials int, seed uint64) {
 	fmt.Print(tab.Render())
 	fmt.Printf("4. validation: RMS deviation %.2f percentage points\n", rms)
 }
+
+// pipelineTrials caps -trials for the pipeline's two lambda sweeps.
+func pipelineTrials(n int) int { return min(n, 5000) }
 
 // moduleHist runs trials of a deterministic module and returns the
 // histogram of its final count of out, one unit-width bin per value from

@@ -103,6 +103,49 @@ func TestValidateEngineSelection(t *testing.T) {
 	}
 }
 
+// TestTimingLineCountsTrialsRun: each experiment's timing line reports the
+// trials it ran per point, not the -trials request. Modules runs at most
+// 500 per input and its power rows a quarter of that plus one, pipeline
+// at most 5000, and fig4 runs none.
+func TestTimingLineCountsTrialsRun(t *testing.T) {
+	ran := map[string]func(int) string{}
+	for _, e := range experiments {
+		ran[e.name] = e.ran
+	}
+	for _, tc := range []struct {
+		exp  string
+		n    int
+		want string
+	}{
+		{"fig3", 20000, "20000 trials/point"},
+		{"fig4", 20000, "0 trials/point"},
+		{"ex2", 300, "300 trials/point"},
+		{"modules", 20000, "500 trials/point; power rows 126 trials/point"},
+		{"modules", 40, "40 trials/point; power rows 11 trials/point"},
+		{"modules", 1, "1 trials/point"},
+		{"pipeline", 6000, "5000 trials/point"},
+		{"pipeline", 60, "60 trials/point"},
+	} {
+		if got := ran[tc.exp](tc.n); got != tc.want {
+			t.Errorf("-exp %s -trials %d: timing line reports %q, want %q", tc.exp, tc.n, got, tc.want)
+		}
+	}
+}
+
+// TestModulesTimingLine: `-exp modules -trials 20000` runs 500 trials per
+// input and 126 on the power rows, and its timing line says so. It used
+// to report 20000.
+func TestModulesTimingLine(t *testing.T) {
+	bin := buildExperiments(t)
+	out, err := exec.Command(bin, "-exp", "modules", "-trials", "20000").Output()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), ", 500 trials/point; power rows 126 trials/point)\n") {
+		t.Errorf("timing line does not report the trials run:\n%s", out)
+	}
+}
+
 // untimed drops the "(…, N trials/point)" timing line from an
 // experiment's output, leaving only what a seed determines.
 func untimed(out []byte) string {

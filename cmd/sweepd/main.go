@@ -46,7 +46,8 @@
 //	-journal PATH  crash-safe shard journal; an existing journal resumes
 //	-retries R     re-dispatch attempts per failing shard (default 1;
 //	               0 = none)
-//	-list          print the registered sweep ids and exit
+//	-list          print the registered sweep ids and exit; takes no
+//	               other flag
 //
 // Flags (model mode, replacing -sweep; a registered -sweep fixes its own
 // engine and observable, so it rejects them):
@@ -64,10 +65,11 @@
 //	-hist LO:WIDTH:BINS histogram layout; makes the sweep a distribution
 //	                    sweep (full per-point summaries, like -dist sweeps)
 //
-// A worker or coordinator never ignores a flag it cannot use: -serve with
-// any other flag, a model flag with -sweep, -shard-timeout without -workers,
-// -shards below 1 and a negative -retries or -shard-timeout each exit 1
-// naming the flag, before anything runs, listens or prints.
+// A worker or coordinator never ignores a flag it cannot use: -serve or
+// -list with any other flag, a model flag with -sweep, -shard-timeout
+// without -workers, -shards below 1 and a negative -retries or
+// -shard-timeout each exit 1 naming the flag, before anything runs, listens
+// or prints. -serve takes precedence over -list.
 package main
 
 import (
@@ -100,7 +102,7 @@ func main() {
 		shardTO = flag.Duration("shard-timeout", 0, "per-shard network round-trip deadline, only with -workers (0 = none); a hung worker's shards time out and retry elsewhere")
 		journal = flag.String("journal", "", "crash-safe shard journal path; an existing journal resumes the sweep")
 		retries = flag.Int("retries", 1, "re-dispatch attempts per failing shard (0 = none)")
-		list    = flag.Bool("list", false, "list registered sweep ids and exit")
+		list    = flag.Bool("list", false, "list registered sweep ids and exit; takes no other flag")
 
 		model        = flag.String("model", "", "network file (chem reaction-text format) to sweep instead of a registered -sweep")
 		obsKind      = flag.String("obs", "race", "model observable kind: race or endpoint")
@@ -124,6 +126,10 @@ func main() {
 		case *serve != "":
 			if name != "serve" {
 				return "cannot be used with -serve: a worker runs the shards its coordinators send"
+			}
+		case *list:
+			if name != "list" {
+				return "cannot be used with -list: it prints the registered sweep ids and exits"
 			}
 		case modelOnly[name] && *sweep != "":
 			return fmt.Sprintf("can be used only with -model: -sweep %s fixes its own engine and observable", *sweep)

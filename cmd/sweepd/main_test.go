@@ -517,11 +517,12 @@ func TestShardTimeoutRequiresWorkers(t *testing.T) {
 	}
 }
 
-// TestFlagsRefusedByName: out-of-range counts and flags a -serve worker
-// cannot use exit 1 naming each flag, before any output. Read as they
-// used to be, -shards below 1 ran one shard, a negative -retries no
-// retries and a negative -shard-timeout no deadline, each exiting 0, and
-// -serve ignored the rest and served. The deadline case runs against a
+// TestFlagsRefusedByName: out-of-range counts and flags a -serve worker or
+// -list cannot use exit 1 naming each flag, before any output. Read as
+// they used to be, -shards below 1 ran one shard, a negative -retries no
+// retries and a negative -shard-timeout no deadline, each exiting 0,
+// -serve ignored the rest and served, and -list ignored the rest and
+// printed the sweep ids. -serve takes precedence, so it refuses -list. The deadline case runs against a
 // live worker, so only the refusal, not a failed dial, can stop it; the
 // test's deadline kills a worker that serves anyway.
 func TestFlagsRefusedByName(t *testing.T) {
@@ -538,6 +539,9 @@ func TestFlagsRefusedByName(t *testing.T) {
 		{append(sweep, "-shard-timeout", "-1s", "-workers", addr), []string{"-shard-timeout"}},
 		{[]string{"-serve", "127.0.0.1:0", "-sweep", "bogus/x", "-journal", filepath.Join(t.TempDir(), "missing", "j"), "-shard-timeout", "1s"},
 			[]string{"-sweep", "-journal", "-shard-timeout"}},
+		{[]string{"-list", "-sweep", "bogus/x", "-journal", filepath.Join(t.TempDir(), "missing", "j"), "-params", "nope"},
+			[]string{"-sweep", "-journal", "-params"}},
+		{[]string{"-serve", "127.0.0.1:0", "-list"}, []string{"-list"}},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		var stdout, stderr bytes.Buffer

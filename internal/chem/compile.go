@@ -390,9 +390,24 @@ func (c *Compiled) packFirePrograms() {
 // linear and dimer refresh records). Engines own the full slice internally,
 // reset only the species prefix, and expose State as st[:NumSpecies].
 func (c *Compiled) NewStateVec() State {
-	st := make(State, c.NumSpecies()+1)
+	st := NewHotVec[int64](c.NumSpecies() + 1)
 	st[c.NumSpecies()] = 1
 	return st
+}
+
+// hotBlock is the span of an adjacent-line prefetch pair: two 64-byte
+// cache lines, which many cores fetch and lose together.
+const hotBlock = 128
+
+// NewHotVec allocates a zeroed vector of n elements for an engine to write
+// on every event (its state, propensities and partial sums), rounded up to
+// whole 128-byte blocks. Go places an allocation of 128·k bytes on a
+// 128-byte boundary, so the vector shares no line, and no prefetch pair,
+// with anything another worker reads or writes: otherwise each event's
+// write would pull the line away from the core reading its neighbour.
+func NewHotVec[E int64 | float64](n int) []E {
+	const per = hotBlock / 8
+	return make([]E, n, (n+per-1)/per*per)
 }
 
 // classifyOp picks the cheapest opcode whose arithmetic matches Propensity

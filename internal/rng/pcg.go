@@ -16,7 +16,10 @@
 // use; parallel code derives one Stream per goroutine (see NewStream).
 package rng
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // PCG is a PCG-XSL-RR 128/64 pseudo-random generator.
 //
@@ -44,10 +47,23 @@ func New(seed uint64) *PCG {
 // Different stream values yield statistically independent sequences for the
 // same seed, which is how parallel Monte Carlo trials obtain per-worker
 // generators without correlation.
+//
+// The generator sits alone at the head of a 128-byte block (pcgBlock). A
+// worker writes its generator on every draw, so a neighbour in the same
+// 64-byte line, or in the pair of lines prefetchers fetch together, would
+// bounce between the cores of two workers.
 func NewStream(seed, stream uint64) *PCG {
-	p := &PCG{}
+	p := &new(pcgBlock).PCG
 	p.Reseed(seed, stream)
 	return p
+}
+
+// pcgBlock pads a PCG to one 128-byte block. Go places 128-byte objects on
+// 128-byte boundaries, so nothing else shares the generator's lines. The
+// padding is layout only: no draw changes.
+type pcgBlock struct {
+	PCG
+	_ [128 - unsafe.Sizeof(PCG{})]byte
 }
 
 // Reseed reinitialises p in place to the exact starting state of

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestNewDeterministic(t *testing.T) {
@@ -191,4 +192,30 @@ func BenchmarkFloat64(b *testing.B) {
 		sink += p.Float64()
 	}
 	_ = sink
+}
+
+// streamSink keeps the generators of TestStreamOwnsItsBlock on the heap,
+// where mc's workers keep theirs.
+var streamSink []*PCG
+
+// TestStreamOwnsItsBlock: every generator NewStream returns starts a
+// 128-byte block of its own, so no other data shares its cache lines or
+// their prefetch pair, and the padding leaves the stream unchanged.
+func TestStreamOwnsItsBlock(t *testing.T) {
+	if size := unsafe.Sizeof(pcgBlock{}); size != 128 {
+		t.Fatalf("pcgBlock is %d bytes, want one 128-byte block", size)
+	}
+	for i := 0; i < 64; i++ {
+		p := NewStream(7, uint64(i))
+		streamSink = append(streamSink, p)
+		if addr := uintptr(unsafe.Pointer(p)); addr%128 != 0 {
+			t.Errorf("stream %d: generator at %#x, not on a 128-byte boundary", i, addr)
+		}
+		var plain PCG
+		plain.Reseed(7, uint64(i))
+		if *p != plain {
+			t.Errorf("stream %d: padded generator state differs from Reseed's", i)
+		}
+	}
+	streamSink = nil
 }

@@ -97,11 +97,12 @@ type Options struct {
 	// Retries is how many times a failing shard is re-dispatched before
 	// its range is reported missing.
 	Retries int
-	// OnShardDone, when set, is called after each shard completes and —
-	// when a journal is in play (ResumeCoordinate) — after its result is
-	// durably journaled: done counts completed shards of this run, total
-	// is the number dispatched. It may be called concurrently from
-	// dispatch goroutines.
+	// OnShardDone, when set, is called after each shard completes — when
+	// a journal is in play (ResumeCoordinate), after its result is
+	// durably journaled — and its result is folded into the running
+	// merge: done counts completed shards of this run, total is the
+	// number dispatched. It may be called concurrently from dispatch
+	// goroutines.
 	OnShardDone func(done, total int, res ShardResult)
 }
 
@@ -111,21 +112,53 @@ type Options struct {
 // rejected), failed shards are retried Retries times, and a sweep that
 // still has uncovered trials after merging fails with the missing ranges
 // listed. On success the result is complete and bit-for-bit identical to
-// the single-process sweep.
+// the single-process sweep. Each result is folded into one running merge
+// as it arrives, so the coordinator holds that merge plus the shards in
+// flight, whatever the shard count.
 func Coordinate(spec SweepSpec, shards int, run Runner, opts Options) (ShardResult, error) {
 	if err := spec.Validate(); err != nil {
 		return ShardResult{}, err
 	}
-	return coordinate(spec, spec.Partition(shards), nil, nil, run, opts)
+	return coordinate(spec, spec.Partition(shards), &runningMerge{}, nil, run, opts)
+}
+
+// runningMerge folds shard results into one merged result as they arrive,
+// from concurrent dispatch goroutines or from journal replay. MergeResults
+// is associative and order-independent bit for bit, so the fold equals a
+// merge of the whole set in any order, and only the fold is held.
+type runningMerge struct {
+	mu  sync.Mutex
+	res ShardResult // the merge of every result added so far
+	n   int         // results added
+	err error       // the first merge failure; later adds are dropped
+}
+
+// add folds res into the merge. After a failure it returns that failure
+// and drops res.
+func (m *runningMerge) add(res ShardResult) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.err != nil {
+		return m.err
+	}
+	if m.n == 0 {
+		m.res = res
+	} else if m.res, m.err = MergeResults(m.res, res); m.err != nil {
+		return m.err
+	}
+	m.n++
+	return nil
 }
 
 // coordinate is the dispatch core shared by Coordinate and
 // ResumeCoordinate: fan specs out over run with bounded parallelism and
-// retries, durably journal each completed result (when journal is
-// non-nil) before counting it done, and merge the new results with any
-// prior (journal-replayed) ones.
-func coordinate(spec SweepSpec, specs []ShardSpec, prior []ShardResult, journal *Journal, run Runner, opts Options) (ShardResult, error) {
-	if len(specs) == 0 && len(prior) == 0 {
+// retries, durably journal each result that passes its check (when
+// journal is non-nil), and fold it into merged — which ResumeCoordinate
+// seeds with the journal's replay — before counting it done. A shard
+// gives its dispatch slot back before it merges, so a merge never delays
+// the next dispatch.
+func coordinate(spec SweepSpec, specs []ShardSpec, merged *runningMerge, journal *Journal, run Runner, opts Options) (ShardResult, error) {
+	if len(specs) == 0 && merged.n == 0 {
 		// A zero-trial sweep dispatches nothing and replays nothing; its
 		// merged result is the empty complete result, not a failure.
 		return spec.emptyResult(), nil
@@ -135,7 +168,6 @@ func coordinate(spec SweepSpec, specs []ShardSpec, prior []ShardResult, journal 
 		parallel = len(specs)
 	}
 
-	results := make([]ShardResult, len(specs))
 	errs := make([]error, len(specs))
 	sem := make(chan struct{}, parallel)
 	var done atomic.Int64
@@ -145,77 +177,68 @@ func coordinate(spec SweepSpec, specs []ShardSpec, prior []ShardResult, journal 
 		go func(i int, sp ShardSpec) {
 			defer wg.Done()
 			sem <- struct{}{}
-			defer func() { <-sem }()
-			for attempt := 0; ; attempt++ {
-				res, err := run(sp)
-				if err == nil {
-					err = checkShardResult(sp, res)
-				}
-				if err == nil && journal != nil {
-					// Journal before counting the shard complete: a result
-					// that is not durable is a result a crash will lose. A
-					// journal failure is fatal rather than retryable —
-					// recomputing the shard will not fix the disk.
-					if jerr := journal.Append(res); jerr != nil {
-						errs[i] = fmt.Errorf("shard %s: %w", sp.SpanRange(), jerr)
-						return
-					}
-				}
-				if err == nil {
-					results[i], errs[i] = res, nil
-					if opts.OnShardDone != nil {
-						opts.OnShardDone(int(done.Add(1)), len(specs), res)
-					}
-					return
-				}
-				errs[i] = fmt.Errorf("shard %s (attempt %d): %w", sp.SpanRange(), attempt+1, err)
-				if attempt >= opts.Retries {
-					return
-				}
+			res, err := runShard(sp, run, journal, opts.Retries)
+			<-sem
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			if merged.add(res) != nil {
+				return // merged keeps the failure for the sweep's error
+			}
+			if opts.OnShardDone != nil {
+				opts.OnShardDone(int(done.Add(1)), len(specs), res)
 			}
 		}(i, sp)
 	}
 	wg.Wait()
 
-	merged := ShardResult{}
+	if merged.err != nil {
+		return ShardResult{}, merged.err
+	}
 	var failures []string
-	first := true
-	for _, res := range prior {
-		if first {
-			merged, first = res, false
-			continue
-		}
-		var err error
-		merged, err = MergeResults(merged, res)
+	for _, err := range errs {
 		if err != nil {
-			return ShardResult{}, err
+			failures = append(failures, err.Error())
 		}
 	}
-	for i := range specs {
-		if errs[i] != nil {
-			failures = append(failures, errs[i].Error())
-			continue
-		}
-		if first {
-			merged, first = results[i], false
-			continue
-		}
-		var err error
-		merged, err = MergeResults(merged, results[i])
-		if err != nil {
-			return ShardResult{}, err
-		}
-	}
-	if first {
+	if merged.n == 0 {
 		return ShardResult{}, fmt.Errorf("shard: every shard failed:\n%s", strings.Join(failures, "\n"))
 	}
-	if !merged.Complete() {
-		missing := merged.MissingRanges()
+	if !merged.res.Complete() {
+		missing := merged.res.MissingRanges()
 		sort.Slice(failures, func(i, j int) bool { return failures[i] < failures[j] })
-		return merged, fmt.Errorf("shard: incomplete sweep: missing trials %v:\n%s",
+		return merged.res, fmt.Errorf("shard: incomplete sweep: missing trials %v:\n%s",
 			missing, strings.Join(failures, "\n"))
 	}
-	return merged, nil
+	return merged.res, nil
+}
+
+// runShard runs sp until a result passes checkShardResult, at most
+// retries+1 times, and journals that result when journal is non-nil. The
+// error names the last failed attempt.
+func runShard(sp ShardSpec, run Runner, journal *Journal, retries int) (ShardResult, error) {
+	for attempt := 0; ; attempt++ {
+		res, err := run(sp)
+		if err == nil {
+			err = checkShardResult(sp, res)
+		}
+		if err == nil {
+			if journal != nil {
+				// Journal before counting the shard complete: a result
+				// that is not durable is a result a crash will lose. A
+				// journal failure is fatal rather than retryable —
+				// recomputing the shard will not fix the disk.
+				if jerr := journal.Append(res); jerr != nil {
+					return ShardResult{}, fmt.Errorf("shard %s: %w", sp.SpanRange(), jerr)
+				}
+			}
+			return res, nil
+		}
+		if attempt >= retries {
+			return ShardResult{}, fmt.Errorf("shard %s (attempt %d): %w", sp.SpanRange(), attempt+1, err)
+		}
+	}
 }
 
 // checkShardResult enforces that a worker answered the shard it was

@@ -1,12 +1,19 @@
 package shard
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"stochsynth/internal/mc"
+	"stochsynth/internal/rng"
 )
 
 func testSweepSpec() SweepSpec {
@@ -114,6 +121,227 @@ func TestCoordinateRejectsWrongRangeFromWorker(t *testing.T) {
 	_, err := Coordinate(spec, 4, confused, Options{})
 	if err == nil {
 		t.Fatal("coordinator accepted wrong-range results")
+	}
+}
+
+// reverseArrival returns a runner and an OnShardDone hook that make the
+// shards of parts arrive in reverse order when all are dispatched at once:
+// shard i does not run until shard i+1 has been merged, or has failed.
+// The shards listed in fail fail on their only attempt. order records the
+// start trial of each shard in merge order.
+func reverseArrival(parts []ShardSpec, reg *Registry, fail []int) (run Runner, done func(int, int, ShardResult), order func() []int) {
+	index := map[int]int{}
+	finished := make([]chan struct{}, len(parts))
+	for i, sp := range parts {
+		index[sp.Lo] = i
+		finished[i] = make(chan struct{})
+	}
+	var mu sync.Mutex
+	var los []int
+	run = func(sp ShardSpec) (ShardResult, error) {
+		i := index[sp.Lo]
+		if i+1 < len(parts) {
+			<-finished[i+1]
+		}
+		if slices.Contains(fail, i) {
+			close(finished[i])
+			return ShardResult{}, fmt.Errorf("injected failure")
+		}
+		return Run(sp, reg)
+	}
+	done = func(_, _ int, res ShardResult) {
+		lo := res.Ranges[0].Lo
+		mu.Lock()
+		los = append(los, lo)
+		mu.Unlock()
+		close(finished[index[lo]])
+	}
+	order = func() []int {
+		mu.Lock()
+		defer mu.Unlock()
+		return slices.Clone(los)
+	}
+	return run, done, order
+}
+
+// TestCoordinateMergesReverseArrivalBitwise: with every shard in flight at
+// once and results arriving last shard first, the running merge encodes
+// to exactly the bytes of the 1-shard run, for tally, numeric and dist
+// sweeps. With one shard or two failing, the sweep still returns the
+// merge of the rest, names the missing ranges in ascending order, and
+// sorts the failures.
+func TestCoordinateMergesReverseArrivalBitwise(t *testing.T) {
+	reg := testRegistry()
+	const shards = 8
+	for _, spec := range []SweepSpec{
+		{Sweep: testTallySweep, Grid: []float64{1, 6}, Trials: 200, Seed: 11, Outcomes: testOutcomes},
+		{Sweep: testNumericSweep, Grid: []float64{1, 6}, Trials: 200, Seed: 11, Numeric: true},
+		{Sweep: testDistSweep, Grid: []float64{1, 6}, Trials: 200, Seed: 11, Outcomes: testOutcomes, Dist: true},
+	} {
+		want, err := Run(spec.Shard(0, spec.Trials), reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := spec.Partition(shards)
+		run, done, order := reverseArrival(parts, reg, nil)
+		got, err := Coordinate(spec, shards, run, Options{Parallel: shards, OnShardDone: done})
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Sweep, err)
+		}
+		var reversed []int
+		for i := len(parts) - 1; i >= 0; i-- {
+			reversed = append(reversed, parts[i].Lo)
+		}
+		if !slices.Equal(order(), reversed) {
+			t.Fatalf("%s: merge order %v, want %v", spec.Sweep, order(), reversed)
+		}
+		if !bytes.Equal(encodeOrDie(t, got), encodeOrDie(t, want)) {
+			t.Errorf("%s: reverse-arrival merge differs from the 1-shard run", spec.Sweep)
+		}
+	}
+
+	spec := testSweepSpec()
+	parts := spec.Partition(shards)
+	for _, fail := range [][]int{{3}, {2, 5}} {
+		run, done, _ := reverseArrival(parts, reg, fail)
+		got, err := Coordinate(spec, shards, run, Options{Parallel: shards, OnShardDone: done})
+		if err == nil {
+			t.Fatalf("shards %v failed, yet the sweep succeeded", fail)
+		}
+		var missing []Range
+		var failures []string
+		var rest []ShardResult
+		for i, sp := range parts {
+			if slices.Contains(fail, i) {
+				missing = append(missing, Range{sp.Lo, sp.Hi})
+				failures = append(failures, fmt.Sprintf("shard %s (attempt 1): injected failure", sp.SpanRange()))
+				continue
+			}
+			res, err := Run(sp, reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rest = append(rest, res)
+		}
+		if !slices.Equal(got.MissingRanges(), missing) {
+			t.Errorf("shards %v failed: missing ranges %v, want %v", fail, got.MissingRanges(), missing)
+		}
+		slices.Sort(failures)
+		wantErr := fmt.Sprintf("shard: incomplete sweep: missing trials %v:\n%s", missing, strings.Join(failures, "\n"))
+		if err.Error() != wantErr {
+			t.Errorf("shards %v failed: error\n%s\nwant\n%s", fail, err, wantErr)
+		}
+		partial, err := MergeAll(rest...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(encodeOrDie(t, got), encodeOrDie(t, partial)) {
+			t.Errorf("shards %v failed: partial merge differs from the merge of the shards that succeeded", fail)
+		}
+	}
+}
+
+// TestCoordinateFailsOnMergeError: a result that passes the range check
+// but cannot merge (one point short of the grid) fails the whole sweep,
+// and the shards folded after it do not count as done.
+func TestCoordinateFailsOnMergeError(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	bad := spec.Partition(4)[1]
+	malformed := func(sp ShardSpec) (ShardResult, error) {
+		res, err := Run(sp, reg)
+		if sp.Lo == bad.Lo {
+			res.Points = res.Points[:1]
+		}
+		return res, err
+	}
+	var done atomic.Int64
+	opts := Options{Parallel: 1, OnShardDone: func(int, int, ShardResult) { done.Add(1) }}
+	got, err := Coordinate(spec, 4, malformed, opts)
+	if err == nil || !strings.Contains(err.Error(), "1 points for 2 grid values") {
+		t.Fatalf("want the merge failure, got %v", err)
+	}
+	if got.Sweep != "" {
+		t.Errorf("failed sweep returned a result for %q", got.Sweep)
+	}
+	if done.Load() >= 4 {
+		t.Errorf("%d shards counted done, though one could not merge", done.Load())
+	}
+}
+
+// testWideDistSweep is a dist sweep whose histogram has 32 768 bins, so
+// each of its results carries 256 KB of counts: a coordinator that keeps
+// every result shows it in the live heap.
+const testWideDistSweep = "test/dist-wide"
+
+func wideDistRegistry() (*Registry, SweepSpec) {
+	reg := NewRegistry()
+	reg.Register(testWideDistSweep, Factory{
+		Outcomes: testOutcomes,
+		Dist:     true,
+		Hist:     mc.HistConfig{Lo: -1 << 14, Width: 1, Bins: 1 << 15},
+		DistF: func(param float64) (DistTrial, error) {
+			return DistTrial{
+				NewEngine: func(gen *rng.PCG) any { return gen },
+				Observe:   func(eng any) mc.Obs { return testObserve(param, eng.(*rng.PCG)) },
+			}, nil
+		},
+	})
+	spec := SweepSpec{
+		Sweep: testWideDistSweep, Grid: []float64{1}, Trials: 200, Seed: 11,
+		Outcomes: testOutcomes, Dist: true,
+	}
+	return reg, spec
+}
+
+// liveHeap returns the bytes of heap objects still reachable after a full
+// collection.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestCoordinateHoldsOneMergeWhateverTheShardCount: over 100 in-process
+// shards of 256 KB results, the live heap after the 100th shard is within
+// 8 MB of the heap after the 10th. A coordinator that kept every result
+// until the end would hold about 23 MB more.
+func TestCoordinateHoldsOneMergeWhateverTheShardCount(t *testing.T) {
+	reg, spec := wideDistRegistry()
+	// gate keeps the next shard from running, and allocating, while the
+	// heap is measured.
+	var gate sync.Mutex
+	run := func(sp ShardSpec) (ShardResult, error) {
+		gate.Lock()
+		defer gate.Unlock()
+		return Run(sp, reg)
+	}
+	measure := func() uint64 {
+		gate.Lock()
+		defer gate.Unlock()
+		return liveHeap()
+	}
+	var at10, at100 uint64
+	opts := Options{Parallel: 1, OnShardDone: func(done, _ int, _ ShardResult) {
+		switch done {
+		case 10:
+			at10 = measure()
+		case 100:
+			at100 = measure()
+		}
+	}}
+	res, err := Coordinate(spec, 100, run, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Complete() {
+		t.Fatal("sweep incomplete")
+	}
+	t.Logf("live heap %.1f MB at shard 10, %.1f MB at shard 100", float64(at10)/(1<<20), float64(at100)/(1<<20))
+	if at100 > at10+8<<20 {
+		t.Errorf("live heap grew from %.1f MB at shard 10 to %.1f MB at shard 100",
+			float64(at10)/(1<<20), float64(at100)/(1<<20))
 	}
 }
 

@@ -1,10 +1,12 @@
 package shard
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"io/fs"
 	"math"
 	"os"
@@ -52,72 +54,37 @@ type Journal struct {
 // record, truncates a torn tail, and leaves the file positioned for
 // appending. The replayed results are returned for the caller to merge;
 // they are individually validated but not yet checked for overlap (the
-// merge does that).
+// merge does that). ResumeCoordinate replays through the same loop but
+// folds each record into its running merge as it is read, so it never
+// holds the whole journal.
 func OpenJournal(path string, spec SweepSpec) (*Journal, []ShardResult, error) {
-	if err := spec.Validate(); err != nil {
+	var results []ShardResult
+	j, err := openJournal(path, spec, func(res ShardResult) error {
+		results = append(results, res)
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	full := spec.Shard(0, spec.Trials)
-	data, err := os.ReadFile(path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return nil, nil, fmt.Errorf("shard: reading journal: %w", err)
-	}
+	return j, results, nil
+}
 
-	var results []ShardResult
-	good := 0 // bytes of the file that survive replay; 0 = rewrite from scratch
-	if len(data) > 0 && len(data) < len(journalMagic) {
-		// Shorter than the magic: either a crash mid-creation left a
-		// prefix of our magic (rewrite it), or it is somebody else's
-		// small file (refuse — never truncate a file we did not write).
-		if string(data) != journalMagic[:len(data)] {
-			return nil, nil, fmt.Errorf("shard: %s is not a shard journal (bad magic)", path)
-		}
+// openJournal is OpenJournal handing each replayed result to each, in
+// record order, instead of collecting them. An error from each stops the
+// replay and is returned before the file is locked or changed.
+func openJournal(path string, spec SweepSpec, each func(ShardResult) error) (*Journal, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
 	}
-	if len(data) >= len(journalMagic) {
-		if string(data[:len(journalMagic)]) != journalMagic {
-			// Never truncate a file that was not written by us.
-			return nil, nil, fmt.Errorf("shard: %s is not a shard journal (bad magic)", path)
-		}
-		good = len(journalMagic)
-		rest := data[good:]
-		headerSeen := false
-		for len(rest) > 0 {
-			payload, n, ok := readJournalRecord(rest)
-			if !ok {
-				break // torn tail starts at offset `good`
-			}
-			if !headerSeen {
-				hdr, err := DecodeSpec(payload)
-				if err != nil {
-					return nil, nil, fmt.Errorf("shard: journal header: %w", err)
-				}
-				if err := sameSweep(hdr, full); err != nil {
-					return nil, nil, fmt.Errorf("shard: journal %s belongs to a different sweep: %w", path, err)
-				}
-				headerSeen = true
-			} else {
-				res, err := DecodeResult(payload)
-				if err != nil {
-					// The checksum passed but the content is wrong: that is
-					// not a torn write, it is a logic error — fail loudly.
-					return nil, nil, fmt.Errorf("shard: journal record %d: %w", len(results)+1, err)
-				}
-				if err := headerCompatible(resultHeader(full), res); err != nil {
-					return nil, nil, fmt.Errorf("shard: journal record %d: %w", len(results)+1, err)
-				}
-				results = append(results, res)
-			}
-			good += n
-			rest = rest[n:]
-		}
-		if !headerSeen {
-			good, results = 0, nil // the header itself was torn; start over
-		}
+	full := spec.Shard(0, spec.Trials)
+	good, err := replayJournal(path, full, each)
+	if err != nil {
+		return nil, err
 	}
 
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, nil, fmt.Errorf("shard: opening journal: %w", err)
+		return nil, fmt.Errorf("shard: opening journal: %w", err)
 	}
 	// Exclusive advisory lock, held until Close: two coordinators
 	// appending to one journal (a resume rerun racing a hung original)
@@ -127,63 +94,160 @@ func OpenJournal(path string, spec SweepSpec) (*Journal, []ShardResult, error) {
 	// second OpenJournal fails cleanly instead.
 	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("shard: journal %s is in use by another coordinator: %w", path, err)
+		return nil, fmt.Errorf("shard: journal %s is in use by another coordinator: %w", path, err)
 	}
 	j := &Journal{f: f, want: resultHeader(full)}
 	if good == 0 {
 		if err := f.Truncate(0); err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("shard: resetting journal: %w", err)
+			return nil, fmt.Errorf("shard: resetting journal: %w", err)
 		}
 		if _, err := f.Write([]byte(journalMagic)); err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("shard: writing journal magic: %w", err)
+			return nil, fmt.Errorf("shard: writing journal magic: %w", err)
 		}
 		header, err := full.Encode()
 		if err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
 		if err := j.appendRecord(header); err != nil {
 			f.Close()
-			return nil, nil, err
+			return nil, err
 		}
-		return j, nil, nil
+		return j, nil
 	}
-	if err := f.Truncate(int64(good)); err != nil {
+	if err := f.Truncate(good); err != nil {
 		f.Close()
-		return nil, nil, fmt.Errorf("shard: truncating torn journal tail: %w", err)
+		return nil, fmt.Errorf("shard: truncating torn journal tail: %w", err)
 	}
-	if _, err := f.Seek(int64(good), 0); err != nil {
+	if _, err := f.Seek(good, 0); err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return j, results, nil
+	return j, nil
 }
 
-// readJournalRecord parses one record from the head of b, reporting !ok
-// for anything torn: a short header, an implausible length, a short
-// payload, or a checksum mismatch.
-func readJournalRecord(b []byte) (payload []byte, n int, ok bool) {
-	if len(b) < 8 {
-		return nil, 0, false
+// replayJournal reads the journal at path one record at a time: it checks
+// the magic and the header record against full, hands each intact result
+// record to each, and returns how many bytes of the file survive replay
+// (0: rewrite it from scratch). It holds one record at a time, and never
+// allocates a payload longer than the bytes left in the file, so a corrupt
+// length reads as a torn tail whatever it claims.
+func replayJournal(path string, full ShardSpec, each func(ShardResult) error) (int64, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return 0, nil
 	}
-	length := binary.BigEndian.Uint32(b[:4])
-	if length == 0 || length > MaxFramePayload {
-		return nil, 0, false
+	if err != nil {
+		return 0, fmt.Errorf("shard: reading journal: %w", err)
 	}
-	if len(b) < 8+int(length) {
-		return nil, 0, false
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return 0, fmt.Errorf("shard: reading journal: %w", err)
 	}
-	payload = b[8 : 8+length]
-	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(b[4:8]) {
-		return nil, 0, false
+	size := info.Size()
+	r := bufio.NewReader(io.LimitReader(f, size))
+
+	magic := make([]byte, min(size, int64(len(journalMagic))))
+	if _, err := io.ReadFull(r, magic); err != nil {
+		return 0, fmt.Errorf("shard: reading journal: %w", err)
 	}
-	return payload, 8 + int(length), true
+	if string(magic) != journalMagic[:len(magic)] {
+		// Never truncate a file that was not written by us.
+		return 0, fmt.Errorf("shard: %s is not a shard journal (bad magic)", path)
+	}
+	if len(magic) < len(journalMagic) {
+		// A crash mid-creation left a prefix of our magic: rewrite it.
+		return 0, nil
+	}
+	good := int64(len(journalMagic)) // bytes that survive replay
+	headerSeen := false
+	records := 0
+	var buf []byte
+	for {
+		payload, ok, err := readJournalRecord(r, size-good, buf)
+		if err != nil {
+			return 0, fmt.Errorf("shard: reading journal: %w", err)
+		}
+		if !ok {
+			break // torn tail starts at offset good
+		}
+		buf = payload
+		if !headerSeen {
+			hdr, err := DecodeSpec(payload)
+			if err != nil {
+				return 0, fmt.Errorf("shard: journal header: %w", err)
+			}
+			if err := sameSweep(hdr, full); err != nil {
+				return 0, fmt.Errorf("shard: journal %s belongs to a different sweep: %w", path, err)
+			}
+			headerSeen = true
+		} else {
+			records++
+			res, err := DecodeResult(payload)
+			if err != nil {
+				// The checksum passed but the content is wrong: that is
+				// not a torn write, it is a logic error — fail loudly.
+				return 0, fmt.Errorf("shard: journal record %d: %w", records, err)
+			}
+			if err := headerCompatible(resultHeader(full), res); err != nil {
+				return 0, fmt.Errorf("shard: journal record %d: %w", records, err)
+			}
+			if err := each(res); err != nil {
+				return 0, err
+			}
+		}
+		good += 8 + int64(len(payload))
+	}
+	if !headerSeen {
+		return 0, nil // the header itself was torn; start over
+	}
+	return good, nil
+}
+
+// readJournalRecord reads one record from r, which holds left more bytes,
+// reporting !ok for anything torn: a short header, an implausible length,
+// a short payload, or a checksum mismatch. A length longer than the bytes
+// left is torn before anything is allocated. The payload reuses buf's
+// storage when it fits.
+func readJournalRecord(r io.Reader, left int64, buf []byte) (payload []byte, ok bool, err error) {
+	var hdr [8]byte
+	if left < int64(len(hdr)) {
+		return nil, false, nil
+	}
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return nil, false, tornRead(err)
+	}
+	length := binary.BigEndian.Uint32(hdr[:4])
+	if length == 0 || length > MaxFramePayload || int64(length) > left-int64(len(hdr)) {
+		return nil, false, nil
+	}
+	if cap(buf) < int(length) {
+		buf = make([]byte, length)
+	}
+	payload = buf[:length]
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, false, tornRead(err)
+	}
+	if crc32.ChecksumIEEE(payload) != binary.BigEndian.Uint32(hdr[4:]) {
+		return nil, false, nil
+	}
+	return payload, true, nil
+}
+
+// tornRead maps a short read (the file shrank under the replay) to a torn
+// tail, and passes any other read failure on.
+func tornRead(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
 }
 
 // sameSweep checks that a journal header names exactly the canonical
@@ -285,28 +349,31 @@ func (j *Journal) Close() error {
 // The shards argument sets the dispatch granularity exactly as in
 // Coordinate: missing ranges are split into chunks of the same target
 // size a fresh shards-way partition would use.
+//
+// Replay reads the journal one record at a time and folds each result into
+// the running merge that the dispatch then continues, so memory does not
+// grow with the journal's record count or the sweep's shard count.
 func ResumeCoordinate(spec SweepSpec, path string, shards int, run Runner, opts Options) (ShardResult, error) {
-	if err := spec.Validate(); err != nil {
-		return ShardResult{}, err
-	}
-	journal, prior, err := OpenJournal(path, spec)
+	merged := &runningMerge{}
+	journal, err := openJournal(path, spec, func(res ShardResult) error {
+		if err := merged.add(res); err != nil {
+			return fmt.Errorf("shard: journal %s: %w", path, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return ShardResult{}, err
 	}
 	defer journal.Close()
 
 	missing := []Range{{Lo: 0, Hi: spec.Trials}}
-	if len(prior) > 0 {
-		merged, err := MergeAll(prior...)
-		if err != nil {
-			return ShardResult{}, fmt.Errorf("shard: journal %s: %w", path, err)
+	if merged.n > 0 {
+		if merged.res.Complete() {
+			return merged.res, nil
 		}
-		if merged.Complete() {
-			return merged, nil
-		}
-		missing = merged.MissingRanges()
+		missing = merged.res.MissingRanges()
 	}
-	return coordinate(spec, partitionRanges(spec, missing, shards), prior, journal, run, opts)
+	return coordinate(spec, partitionRanges(spec, missing, shards), merged, journal, run, opts)
 }
 
 // partitionRanges splits a set of uncovered trial ranges into dispatchable

@@ -2,9 +2,12 @@ package shard
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -428,4 +431,107 @@ func TestResumeCoordinateOverNetworkWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	expectTallyBitwise(t, spec, merged)
+}
+
+// TestResumeHoldsOneMergeWhateverTheRecordCount: a journal holding 99 of
+// 100 shards of 256 KB results resumes with one shard to dispatch, and the
+// live heap when that shard is done is within 8 MB of the heap before the
+// resume. A replay that kept its records would hold all 99 there.
+func TestResumeHoldsOneMergeWhateverTheRecordCount(t *testing.T) {
+	reg, spec := wideDistRegistry()
+	path := tmpJournal(t)
+	j, _, err := OpenJournal(path, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts := spec.Partition(100)
+	for _, sp := range parts[:99] {
+		res, err := Run(sp, reg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Append(res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	before := liveHeap()
+	var during uint64
+	calls := 0
+	opts := Options{Parallel: 1, OnShardDone: func(int, int, ShardResult) {
+		calls++
+		during = liveHeap()
+	}}
+	res, err := ResumeCoordinate(spec, path, 100, LocalRunner(reg), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || !res.Complete() {
+		t.Fatalf("resume dispatched %d shards (want 1), complete %v", calls, res.Complete())
+	}
+	t.Logf("live heap %.1f MB before the resume, %.1f MB at its one shard",
+		float64(before)/(1<<20), float64(during)/(1<<20))
+	if during > before+8<<20 {
+		t.Errorf("live heap grew from %.1f MB before the resume to %.1f MB at its one shard",
+			float64(before)/(1<<20), float64(during)/(1<<20))
+	}
+}
+
+// TestJournalCorruptLengthIsTornWithoutAllocating: a last record whose
+// length field claims a 32 MiB payload, with 10 bytes left in the file,
+// is a torn tail: replay keeps the intact record before it, truncates the
+// file back to it, and never allocates the claimed payload.
+func TestJournalCorruptLengthIsTornWithoutAllocating(t *testing.T) {
+	reg := testRegistry()
+	spec := testSweepSpec()
+	path := tmpJournal(t)
+	j, _, err := OpenJournal(path, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(spec.Shard(0, 50), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(res); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[:4], MaxFramePayload)
+	corrupt := append(append(slices.Clone(intact), hdr[:]...), make([]byte, 10)...)
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	j2, replayed, err := OpenJournal(path, spec)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if len(replayed) != 1 || !bytes.Equal(encodeOrDie(t, replayed[0]), encodeOrDie(t, res)) {
+		t.Fatalf("replayed %d records, want the one intact record", len(replayed))
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("replay allocated %d bytes for a 32 MiB length claim", grew)
+	}
+	kept, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(kept, intact) {
+		t.Errorf("torn tail not truncated: file is %d bytes, want %d", len(kept), len(intact))
+	}
 }

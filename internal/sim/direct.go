@@ -34,12 +34,13 @@ func NewDirect(net *chem.Network, gen *rng.PCG) *Direct {
 // recompiling.
 func NewDirectCompiled(comp *chem.Compiled, gen *rng.PCG) *Direct {
 	d := &Direct{
-		comp: comp,
-		gen:  gen,
-		prop: make([]float64, comp.NumChannels()),
+		comp:  comp,
+		gen:   gen,
+		state: chem.NewHotVec[int64](comp.NumSpecies()),
+		prop:  chem.NewHotVec[float64](comp.NumChannels()),
 	}
 	if nb := comp.NumSelectBlocks(); nb > 0 {
-		d.sums = make([]float64, nb)
+		d.sums = chem.NewHotVec[float64](nb)
 	}
 	d.Reset(comp.Network().InitialState(), 0)
 	return d
@@ -58,9 +59,6 @@ func (d *Direct) Time() float64 { return d.t }
 func (d *Direct) Reset(state chem.State, t float64) {
 	if len(state) != d.comp.NumSpecies() {
 		panic("sim: state length does not match network species count")
-	}
-	if d.state == nil {
-		d.state = make(chem.State, len(state))
 	}
 	copy(d.state, state)
 	d.t = t
@@ -155,11 +153,11 @@ func NewOptimizedDirectCompiled(comp *chem.Compiled, gen *rng.PCG) *OptimizedDir
 		// plus a trailing phantom slot holding the constant 1 that the
 		// packed refresh programs read (see chem.Compiled.NewStateVec).
 		state:   comp.NewStateVec(),
-		prop:    make([]float64, comp.NumChannels()),
+		prop:    chem.NewHotVec[float64](comp.NumChannels()),
 		refresh: 4096,
 	}
 	if nb := comp.NumSelectBlocks(); nb > 0 {
-		o.sums = make([]float64, nb)
+		o.sums = chem.NewHotVec[float64](nb)
 	}
 	o.Reset(comp.Network().InitialState(), 0)
 	return o
@@ -290,7 +288,7 @@ func NewFirstReaction(net *chem.Network, gen *rng.PCG) *FirstReaction {
 // NewFirstReactionCompiled returns a FirstReaction engine over an
 // already-compiled kernel.
 func NewFirstReactionCompiled(comp *chem.Compiled, gen *rng.PCG) *FirstReaction {
-	f := &FirstReaction{comp: comp, gen: gen}
+	f := &FirstReaction{comp: comp, gen: gen, state: chem.NewHotVec[int64](comp.NumSpecies())}
 	f.Reset(comp.Network().InitialState(), 0)
 	return f
 }
@@ -308,9 +306,6 @@ func (f *FirstReaction) Time() float64 { return f.t }
 func (f *FirstReaction) Reset(state chem.State, t float64) {
 	if len(state) != f.comp.NumSpecies() {
 		panic("sim: state length does not match network species count")
-	}
-	if f.state == nil {
-		f.state = make(chem.State, len(state))
 	}
 	copy(f.state, state)
 	f.t = t

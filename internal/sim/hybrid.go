@@ -128,9 +128,9 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 		gen:       gen,
 		part:      chem.NewPartition(net, protected),
 		state:     comp.NewStateVec(),
-		prop:      make([]float64, comp.NumChannels()),
+		prop:      chem.NewHotVec[float64](comp.NumChannels()),
 		liveChans: make([]int32, 0, comp.NumChannels()),
-		cum:       make([]float64, comp.NumChannels()),
+		cum:       chem.NewHotVec[float64](comp.NumChannels()),
 	}
 	// Remap the partition's original reaction indices onto compiled
 	// channels once, so the hot loops never translate.
