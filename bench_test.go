@@ -312,6 +312,54 @@ func BenchmarkEngineOptimizedDirectWide256(b *testing.B) {
 	wideEventBench(b, func(n *chem.Network, g *rng.PCG) sim.Engine { return sim.NewOptimizedDirect(n, g) })
 }
 
+// BenchmarkWideModule measures the paper's stochastic module (§2.1), the
+// wide kernel the paper itself motivates: n outcomes of weight 10 at
+// γ = 100 compile to 108 channels at n = 8, 234 at 12 and 408 at 16, all
+// past chem.BlockThreshold. The module runs as a wire network through
+// shard.NetworkFactory, so it compiles exactly as a wire shard does, on
+// every engine kind. One engine per sub-benchmark, one trial per
+// iteration; a trial runs to quiescence, about 1 100 events.
+func BenchmarkWideModule(b *testing.B) {
+	for _, n := range []int{8, 12, 16} {
+		outcomes := make([]synth.Outcome, n)
+		for i := range outcomes {
+			outcomes[i] = synth.Outcome{Weight: 10}
+		}
+		mod, err := synth.StochasticSpec{Outcomes: outcomes, Gamma: 100}.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		crn := string(chem.AppendCRN(nil, mod.Net))
+		for _, kind := range sim.EngineKinds() {
+			b.Run(fmt.Sprintf("n=%d/%s", n, kind), func(b *testing.B) {
+				f, err := shard.NetworkFactory(&shard.NetworkSpec{
+					CRN:        crn,
+					Engine:     string(kind),
+					Observable: shard.ObservableSpec{Kind: shard.ObsEndpoint, SpeciesA: "o1", CountA: 1},
+					Hist:       &mc.HistConfig{Lo: 0, Width: 50, Bins: 21},
+				}, false, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				trial, err := f.DistF(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				gen := rng.New(3)
+				eng := trial.NewEngine(gen)
+				var events int64
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					gen.Reseed(2007, uint64(i))
+					events += trial.Observe(eng).Steps
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			})
+		}
+	}
+}
+
 // BenchmarkAblationNoPurifying quantifies the purifying category's
 // contribution. The winner identity turns out to be decided by the
 // reinforcing/stabilizing race (error rates barely move without
