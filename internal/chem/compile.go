@@ -97,11 +97,6 @@ type Compiled struct {
 	numBlocks     int
 	DepBlockStart []int32
 	DepBlockList  []int32
-
-	// allLinear marks kernels whose every channel is OpLinear (wide
-	// conversion/decay networks), enabling a dispatch-free propensity
-	// refresh loop with bit-identical arithmetic.
-	allLinear bool
 }
 
 // DeltaInstr is one packed state update: st[S] += D.
@@ -322,14 +317,6 @@ func compileOrdered(net *Network, order []int, a0 []float64) *Compiled {
 		c.DepStart[ch+1] = int32(len(c.DepList))
 	}
 
-	c.allLinear = numR > 0
-	for ch := 0; ch < numR; ch++ {
-		if c.Op[ch] != OpLinear {
-			c.allLinear = false
-			break
-		}
-	}
-
 	c.packFirePrograms()
 	c.buildBlocks()
 	return c
@@ -518,19 +505,6 @@ func (c *Compiled) genericPropensity(ch int, st State) float64 {
 //stochlint:noalloc
 func (c *Compiled) fillPropensities(st State, prop []float64) {
 	op, rate, s1, s2 := c.Op, c.Rate, c.S1, c.S2
-	if c.allLinear {
-		// Uniform-opcode fast path: wide conversion/decay networks compile
-		// to all-linear channels, so the dispatch switch is dead weight.
-		// The arithmetic per channel is the OpLinear case verbatim.
-		for ch, s := range s1 {
-			var a float64
-			if x := st[s]; x >= 1 {
-				a = rate[ch] * float64(x)
-			}
-			prop[ch] = a
-		}
-		return
-	}
 	for ch := range op {
 		var a float64
 		switch op[ch] {

@@ -33,8 +33,8 @@ func CompileAt(net *Network, st State) *Compiled {
 }
 
 // pilotSeed seeds CompilePilot's deterministic jump chain, making the pilot
-// ordering a pure function of (network, events): identical on every host,
-// in every process, and across the sweep fleet.
+// ordering a pure function of (network, events): identical on every host
+// and in every process.
 const pilotSeed = 0x70696c6f74 // "pilot"
 
 // CompilePilot lowers net ordered by each channel's *mean* propensity over
@@ -45,6 +45,11 @@ const pilotSeed = 0x70696c6f74 // "pilot"
 // start — at a one-off compile cost of events × M propensity evaluations.
 // The chain is the plain embedded jump chain (no waiting times): it stops
 // early on quiescence.
+//
+// No program path calls it any more: wire-submitted networks compile with
+// Compile, as every other network does, since the pilot ordering measured
+// at parity with Compile's on the paper's wide stochastic module. Only the
+// stochbench kernel layer still mirrors the old wide-network rule.
 func CompilePilot(net *Network, events int) *Compiled {
 	numR := net.NumReactions()
 	sum := make([]float64, numR)

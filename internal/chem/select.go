@@ -196,31 +196,6 @@ func (c *Compiled) SelectChannel(prop []float64, target float64) int {
 //
 //stochlint:noalloc
 func (c *Compiled) PropensitiesBlocksInto(st State, prop, sums []float64) float64 {
-	if c.allLinear {
-		// Fused single pass for the dominant wide shape: evaluate, store,
-		// and accumulate each block's fold-left sum in one sweep instead
-		// of re-reading prop. Per-block folds and the fold-over-sums total
-		// are bitwise the two-pass form's — same values, same order.
-		rate, s1 := c.Rate, c.S1
-		shift := c.BlockShift
-		total := 0.0
-		for k := range sums {
-			lo := k << shift
-			hi := min(lo+1<<shift, len(prop))
-			bsum := 0.0
-			for ch := lo; ch < hi; ch++ {
-				var a float64
-				if x := st[s1[ch]]; x >= 1 {
-					a = rate[ch] * float64(x)
-				}
-				prop[ch] = a
-				bsum += a
-			}
-			sums[k] = bsum
-			total += bsum
-		}
-		return total
-	}
 	c.fillPropensities(st, prop)
 	c.BlockSumsInto(prop, sums)
 	total := 0.0

@@ -314,25 +314,6 @@ type networkObservable struct {
 	protect  []chem.Species
 }
 
-// pilotEvents is the length of the deterministic pilot jump chain used to
-// order wide wire-submitted networks (chem.CompilePilot). A fixed constant:
-// the ordering — and hence the trial streams — must be identical on every
-// worker in a fleet.
-const pilotEvents = 512
-
-// compileNetworkModel lowers a wire-submitted network. Narrow networks
-// keep Compile's initial-state ordering (the historical, fixture-pinned
-// streams); at chem.BlockThreshold channels and up — where the block-sum
-// selection structure engages and no pinned stream exists — the ordering
-// comes from a short deterministic pilot run, which ranks mid-trajectory
-// hot channels that the initial state alone mis-ranks.
-func compileNetworkModel(mod *chem.Network) *chem.Compiled {
-	if mod.NumReactions() >= chem.BlockThreshold {
-		return chem.CompilePilot(mod, pilotEvents)
-	}
-	return chem.Compile(mod)
-}
-
 // compileObservable builds the trial body for one grid value.
 func compileObservable(net *chem.Network, ns *NetworkSpec, param float64) (*networkObservable, error) {
 	mod, err := applyParam(net, ns.Param, param)
@@ -345,7 +326,7 @@ func compileObservable(net *chem.Network, ns *NetworkSpec, param float64) (*netw
 	}
 	o := ns.Observable
 	no := &networkObservable{
-		comp:     compileNetworkModel(mod),
+		comp:     chem.Compile(mod),
 		st0:      mod.InitialState(),
 		kind:     kind,
 		maxSteps: ns.MaxSteps,
