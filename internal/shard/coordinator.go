@@ -2,7 +2,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -196,6 +195,8 @@ func coordinate(spec SweepSpec, specs []ShardSpec, merged *runningMerge, journal
 	if merged.err != nil {
 		return ShardResult{}, merged.err
 	}
+	// errs is indexed by spec, and specs ascend in trial order, so the
+	// failures are listed in trial order.
 	var failures []string
 	for _, err := range errs {
 		if err != nil {
@@ -207,7 +208,6 @@ func coordinate(spec SweepSpec, specs []ShardSpec, merged *runningMerge, journal
 	}
 	if !merged.res.Complete() {
 		missing := merged.res.MissingRanges()
-		sort.Slice(failures, func(i, j int) bool { return failures[i] < failures[j] })
 		return merged.res, fmt.Errorf("shard: incomplete sweep: missing trials %v:\n%s",
 			missing, strings.Join(failures, "\n"))
 	}
