@@ -11,9 +11,14 @@
 //	-trials N   Monte Carlo trials per point (default 20000; paper: 100000)
 //	-seed S     base RNG seed (default 2007)
 //	-engine E   simulation engine for the Monte Carlo sweeps (fig3, fig5,
-//	            pipeline), any of sim.EngineKinds():
+//	            ex1, ex2, pipeline), any of sim.EngineKinds():
 //	            direct|optimized|first-reaction|hybrid; default optimized.
 //	            See docs/engines.md.
+//
+// A flag the chosen experiment does not read exits 2 naming it, before any
+// output: modules runs Direct by design and refuses -engine, and fig4 runs
+// no trials and refuses -engine, -trials and -seed. -exp all takes every
+// flag.
 //
 // The tool prints measured values next to the paper's reported/derived
 // values so deviations are visible at a glance. Each experiment ends with a
@@ -44,7 +49,7 @@ func main() {
 		exp    = flag.String("exp", "all", "experiment: fig3|fig4|fig5|ex1|ex2|modules|pipeline|all")
 		trials = flag.Int("trials", 20000, "Monte Carlo trials per point (paper: 100000)")
 		seed   = flag.Uint64("seed", 2007, "base RNG seed")
-		engine = flag.String("engine", "", "simulation engine for the Monte Carlo sweeps (default optimized)")
+		engine = flag.String("engine", "", "simulation engine of fig3, fig5, ex1, ex2 and pipeline (default optimized)")
 	)
 	flag.Parse()
 	// Bad flags fail fast, before any experiment runs: an unknown -engine
@@ -71,6 +76,20 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: unknown -exp %q\n", *exp)
 		os.Exit(2)
 	}
+	// One chosen experiment refuses, by name, each flag given that it does
+	// not read; -exp all takes every flag, since some experiment reads it.
+	if *exp != "all" {
+		refused := false
+		flag.Visit(func(f *flag.Flag) {
+			if slices.Contains(chosen[0].unread, f.Name) {
+				fmt.Fprintf(os.Stderr, "experiments: -exp %s does not read -%s\n", *exp, f.Name)
+				refused = true
+			}
+		})
+		if refused {
+			os.Exit(2)
+		}
+	}
 	for _, e := range chosen {
 		fmt.Printf("==== %s ====\n", e.title)
 		start := time.Now()
@@ -79,31 +98,35 @@ func main() {
 	}
 }
 
-// experiment is one -exp value: its title, its body, and ran, the trials
-// it runs per point at -trials n, which its timing line reports.
+// experiment is one -exp value: its title, its body, ran, the trials it
+// runs per point at -trials n, which its timing line reports, and unread,
+// the flags its body never reads.
 type experiment struct {
 	name, title string
 	run         func(trials int, seed uint64)
 	ran         func(n int) string
+	unread      []string
 }
 
 // experiments lists every -exp value in the order -exp all runs them.
 var experiments = []experiment{
-	{"fig3", "Figure 3: stochastic-module error vs gamma", figure3, perPoint},
-	{"fig4", "Figure 4: synthetic lambda model", figure4, func(int) string { return perPoint(0) }},
-	{"fig5", "Figure 5: lambda probabilistic response", figure5, perPoint},
-	{"ex1", "Example 1: programmed 0.3/0.4/0.3 distribution", example1, perPoint},
-	{"ex2", "Example 2: affine input dependence", example2, perPoint},
-	{"modules", "Section 2.2.1: deterministic modules", modules, modulesRan},
+	{"fig3", "Figure 3: stochastic-module error vs gamma", figure3, perPoint, nil},
+	{"fig4", "Figure 4: synthetic lambda model", figure4, func(int) string { return perPoint(0) },
+		[]string{"engine", "trials", "seed"}},
+	{"fig5", "Figure 5: lambda probabilistic response", figure5, perPoint, nil},
+	{"ex1", "Example 1: programmed 0.3/0.4/0.3 distribution", example1, perPoint, nil},
+	{"ex2", "Example 2: affine input dependence", example2, perPoint, nil},
+	{"modules", "Section 2.2.1: deterministic modules", modules, modulesRan, []string{"engine"}},
 	{"pipeline", "Section 3 methodology: characterise -> fit -> synthesise -> validate", pipeline,
-		func(n int) string { return perPoint(pipelineTrials(n)) }},
+		func(n int) string { return perPoint(pipelineTrials(n)) }, nil},
 }
 
 // perPoint formats a trial count for the timing line.
 func perPoint(n int) string { return fmt.Sprintf("%d trials/point", n) }
 
-// engineKind is the -engine flag: the engine the Monte Carlo sweeps run on
-// (empty = OptimizedDirect).
+// engineKind is the -engine flag: the engine the Monte Carlo sweeps of
+// fig3, fig5, ex1, ex2 and pipeline run on (empty = OptimizedDirect over
+// chem.Compile, the kernel sim.NewOptimizedDirect builds).
 var engineKind sim.EngineKind
 
 // figure3 reproduces the error-vs-γ sweep (Monte Carlo per γ, log-log).
@@ -211,7 +234,8 @@ func figure5(trials int, seed uint64) {
 	fmt.Print(p.Render())
 }
 
-// example1 reproduces the 0.3/0.4/0.3 programmed distribution.
+// example1 reproduces the 0.3/0.4/0.3 programmed distribution on the
+// -engine kind.
 func example1(trials int, seed uint64) {
 	mod, err := synth.StochasticSpec{
 		Outcomes: []synth.Outcome{{Weight: 30}, {Weight: 40}, {Weight: 30}},
@@ -221,8 +245,9 @@ func example1(trials int, seed uint64) {
 		fmt.Println("error:", err)
 		return
 	}
+	comp, protected := chem.Compile(mod.Net), mod.ProtectedSpecies()
 	res := mc.RunWith(mc.Config{Trials: trials, Outcomes: 3, Seed: seed},
-		func(gen *rng.PCG) sim.Engine { return sim.NewOptimizedDirect(mod.Net, gen) },
+		func(gen *rng.PCG) sim.Engine { return sim.MustEngineOfKindCompiled(engineKind, comp, protected, gen) },
 		func(eng sim.Engine) int {
 			return synth.RunRaceWith(mod, eng, 10, 2_000_000).Winner
 		})
@@ -243,7 +268,8 @@ func example1(trials int, seed uint64) {
 	}
 }
 
-// example2 reproduces the affine preprocessing across a grid of inputs.
+// example2 reproduces the affine preprocessing across a grid of inputs on
+// the -engine kind.
 func example2(trials int, seed uint64) {
 	am, err := synth.AffineSpec{
 		Stochastic: synth.StochasticSpec{
@@ -265,6 +291,7 @@ func example2(trials int, seed uint64) {
 		}
 	}
 	fmt.Println()
+	comp, protected := chem.Compile(am.Net), am.ProtectedSpecies()
 	tab := plot.Table{Headers: []string{"X1", "X2", "p1 prog/meas", "p2 prog/meas", "p3 prog/meas"}}
 	for _, inputs := range [][]int64{{0, 0}, {5, 0}, {0, 5}, {5, 5}, {10, 10}} {
 		want, err := am.ProbabilitiesAt(inputs)
@@ -278,7 +305,9 @@ func example2(trials int, seed uint64) {
 			return
 		}
 		res := mc.RunWith(mc.Config{Trials: trials, Outcomes: 3, Seed: seed + uint64(inputs[0]*31+inputs[1])},
-			func(gen *rng.PCG) sim.Engine { return sim.NewOptimizedDirect(am.Net, gen) },
+			func(gen *rng.PCG) sim.Engine {
+				return sim.MustEngineOfKindCompiled(engineKind, comp, protected, gen)
+			},
 			func(eng sim.Engine) int {
 				eng.Reset(st0, 0)
 				r := sim.Run(eng, sim.RunOptions{
@@ -312,7 +341,9 @@ func modulesRan(n int) string {
 	return perPoint(n)
 }
 
-// modules verifies each deterministic module's function over a small sweep.
+// modules verifies each deterministic module's function over a small sweep
+// on Direct, by design (TestModulesGolden pins the table), so it does not
+// read -engine.
 func modules(trials int, seed uint64) {
 	trials = moduleTrials(trials)
 	tab := plot.Table{Headers: []string{"module", "input", "ideal", "mode", "mean", "P(exact)"}}

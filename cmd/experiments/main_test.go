@@ -48,7 +48,9 @@ func buildExperiments(t *testing.T) string {
 
 // TestEngineSelectionFailsFast: a bad -engine must be rejected before any
 // experiment runs, listing every selectable kind; so must a trial count
-// no Monte Carlo runner accepts.
+// no Monte Carlo runner accepts, and each flag the one chosen experiment
+// does not read: modules runs Direct by design, and fig4 runs no trials.
+// Both used to print their default output.
 func TestEngineSelectionFailsFast(t *testing.T) {
 	bin := buildExperiments(t)
 	cases := []struct {
@@ -61,6 +63,10 @@ func TestEngineSelectionFailsFast(t *testing.T) {
 			[]string{"unknown engine", "direct", "optimized", "first-reaction", "hybrid"}},
 		{[]string{"-exp", "fig3", "-trials", "0"},
 			[]string{"-trials 0", "positive"}},
+		{[]string{"-exp", "modules", "-engine", "first-reaction", "-trials", "20"},
+			[]string{"-exp modules does not read -engine"}},
+		{[]string{"-exp", "fig4", "-engine", "hybrid", "-trials", "5", "-seed", "3"},
+			[]string{"-exp fig4 does not read -engine", "-exp fig4 does not read -trials", "-exp fig4 does not read -seed"}},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer
@@ -100,6 +106,32 @@ func TestValidateEngineSelection(t *testing.T) {
 	if tables[sim.EngineDirect] != tables[sim.EngineOptimizedDirect] {
 		t.Errorf("direct and optimized Figure 3 tables differ:\n%s\n---\n%s",
 			tables[sim.EngineDirect], tables[sim.EngineOptimizedDirect])
+	}
+}
+
+// TestExamplesHonourEngine: ex1 and ex2 race on the -engine kind. The
+// default is OptimizedDirect over chem.Compile, which draws the same
+// randomness as Direct over that kernel, so -engine direct prints the
+// default table; first-reaction draws differently, so its table differs.
+// Both used to print the default table whatever -engine said.
+func TestExamplesHonourEngine(t *testing.T) {
+	bin := buildExperiments(t)
+	for _, exp := range []string{"ex1", "ex2"} {
+		run := func(engine ...string) string {
+			args := append([]string{"-exp", exp, "-trials", "200", "-seed", "3"}, engine...)
+			out, err := exec.Command(bin, args...).Output()
+			if err != nil {
+				t.Fatalf("%v: %v", args, err)
+			}
+			return untimed(out)
+		}
+		def := run()
+		if got := run("-engine", "direct"); got != def {
+			t.Errorf("-exp %s: direct table differs from the default:\n%s\n---\n%s", exp, got, def)
+		}
+		if got := run("-engine", "first-reaction"); got == def {
+			t.Errorf("-exp %s: first-reaction table equals the default: -engine was ignored", exp)
+		}
 	}
 }
 
