@@ -25,6 +25,10 @@
 //	-validate         validate the network and exit
 //	-dot              print a Graphviz rendering and exit
 //
+// -validate and -dot simulate nothing, so each refuses every other flag
+// given with it, one stderr line per flag, before the network is read;
+// -validate wins over -dot, so -validate -dot refuses -dot.
+//
 // Examples:
 //
 //	crnsim -validate model.crn
@@ -58,6 +62,18 @@ func main() {
 		dot      = flag.Bool("dot", false, "print Graphviz and exit")
 	)
 	flag.Parse()
+	if mode := infoMode(*validate, *dot); mode != "" {
+		refused := false
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != mode {
+				fmt.Fprintf(os.Stderr, "crnsim: -%s does not apply with -%s\n", f.Name, mode)
+				refused = true
+			}
+		})
+		if refused {
+			os.Exit(1)
+		}
+	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: crnsim [flags] network.crn")
 		flag.PrintDefaults()
@@ -166,6 +182,18 @@ func main() {
 		fmt.Printf("%-12s mean=%.4f stderr=%.4f min=%g max=%g (n=%d)\n",
 			net.Name(sp), s.Mean, s.StdErr(), s.Min, s.Max, s.N)
 	}
+}
+
+// infoMode names the mode flag of a run that prints and exits without
+// simulating, -validate before -dot, or "" for a simulation.
+func infoMode(validate, dot bool) string {
+	switch {
+	case validate:
+		return "validate"
+	case dot:
+		return "dot"
+	}
+	return ""
 }
 
 // engineFactory validates an engine name against sim.EngineKinds and

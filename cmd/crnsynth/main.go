@@ -10,9 +10,10 @@
 //	-module M            deterministic module: exp2 | log2 | power | isolation
 //	-poly c0,c1,...      polynomial module: Y = c0 + c1·X + c2·X² + …
 //
-// Common flags:
+// Flags:
 //
-//	-gamma G   rate separation γ (default 1000; -lambda uses 1e9)
+//	-gamma G   -dist only: rate separation γ (default 1000); with any other
+//	           mode it exits 2 naming -gamma
 //	-crn       emit parseable .crn instead of paper notation
 //
 // Examples:
@@ -42,7 +43,7 @@ func main() {
 		response = flag.String("response", "", "a,b,cinv for P% = a + b·log2(MOI) + MOI/cinv")
 		module   = flag.String("module", "", "deterministic module: exp2|log2|power|isolation")
 		poly     = flag.String("poly", "", "polynomial coefficients c0,c1,... (Y = Σ ck·X^k)")
-		gamma    = flag.Float64("gamma", 1000, "rate separation γ")
+		gamma    = flag.Float64("gamma", 1000, "rate separation γ of -dist")
 		asCRN    = flag.Bool("crn", false, "emit .crn format instead of paper notation")
 	)
 	flag.Parse()
@@ -56,6 +57,14 @@ func main() {
 	if modes != 1 {
 		fmt.Fprintln(os.Stderr, "crnsynth: choose exactly one of -dist, -lambda, -response, -module, -poly")
 		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	// Only -dist builds a stochastic module; every other mode's network
+	// has its rates fixed.
+	gammaSet := false
+	flag.Visit(func(f *flag.Flag) { gammaSet = gammaSet || f.Name == "gamma" })
+	if gammaSet && *dist == "" {
+		fmt.Fprintln(os.Stderr, "crnsynth: -gamma applies to -dist only")
 		os.Exit(2)
 	}
 
