@@ -7,7 +7,7 @@
 //
 // Modes:
 //
-//	-trace            print one stochastic trajectory as CSV (default)
+//	(no mode flag)    print one stochastic trajectory as CSV
 //	-trials N         Monte Carlo: run N trials and report final-state stats
 //	                  (N >= 0; default 0 = a single trace)
 //	-mean             with -trials: ensemble mean±stderr time-course as CSV
@@ -25,14 +25,13 @@
 //	-validate         validate the network and exit
 //	-dot              print a Graphviz rendering and exit
 //
-// -validate and -dot simulate nothing, so each refuses every other flag
-// given with it, one stderr line per flag, before the network is read;
-// -validate wins over -dot, so -validate -dot refuses -dot.
+// -validate and -dot refuse every other flag given with them (-validate
+// wins over -dot), one stderr line per flag, before the network is read.
 //
 // Examples:
 //
 //	crnsim -validate model.crn
-//	crnsim -trace -maxtime 100 model.crn > trajectory.csv
+//	crnsim -maxtime 100 model.crn > trajectory.csv
 //	crnsim -trials 10000 -species cro2,ci2 model.crn
 package main
 
@@ -62,17 +61,24 @@ func main() {
 		dot      = flag.Bool("dot", false, "print Graphviz and exit")
 	)
 	flag.Parse()
-	if mode := infoMode(*validate, *dot); mode != "" {
-		refused := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name != mode {
-				fmt.Fprintf(os.Stderr, "crnsim: -%s does not apply with -%s\n", f.Name, mode)
-				refused = true
-			}
-		})
-		if refused {
-			os.Exit(1)
+	// -validate and -dot simulate nothing, so they refuse every other flag.
+	mode := ""
+	if *dot {
+		mode = "dot"
+	}
+	if *validate {
+		mode = "validate"
+	}
+	refused, maxStepsSet := false, false
+	flag.Visit(func(f *flag.Flag) {
+		maxStepsSet = maxStepsSet || f.Name == "maxsteps"
+		if mode != "" && f.Name != mode {
+			fmt.Fprintf(os.Stderr, "crnsim: -%s does not apply with -%s\n", f.Name, mode)
+			refused = true
 		}
+	})
+	if refused {
+		os.Exit(1)
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: crnsim [flags] network.crn")
@@ -123,8 +129,6 @@ func main() {
 	}
 	// A time-course averages whole trajectories; cutting some short at an
 	// event bound would bias every later grid point.
-	maxStepsSet := false
-	flag.Visit(func(f *flag.Flag) { maxStepsSet = maxStepsSet || f.Name == "maxsteps" })
 	if *mean && maxStepsSet {
 		fatal(fmt.Errorf("-mean runs every trajectory to -maxtime and cannot honour -maxsteps"))
 	}
@@ -182,18 +186,6 @@ func main() {
 		fmt.Printf("%-12s mean=%.4f stderr=%.4f min=%g max=%g (n=%d)\n",
 			net.Name(sp), s.Mean, s.StdErr(), s.Min, s.Max, s.N)
 	}
-}
-
-// infoMode names the mode flag of a run that prints and exits without
-// simulating, -validate before -dot, or "" for a simulation.
-func infoMode(validate, dot bool) string {
-	switch {
-	case validate:
-		return "validate"
-	case dot:
-		return "dot"
-	}
-	return ""
 }
 
 // engineFactory validates an engine name against sim.EngineKinds and

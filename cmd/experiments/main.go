@@ -15,10 +15,9 @@
 //	            direct|optimized|first-reaction|hybrid; default optimized.
 //	            See docs/engines.md.
 //
-// A flag the chosen experiment does not read exits 2 naming it, before any
-// output: modules runs Direct by design and refuses -engine, and fig4 runs
-// no trials and refuses -engine, -trials and -seed. -exp all takes every
-// flag.
+// A flag the chosen experiment does not read exits 2 naming it: modules
+// (Direct by design) refuses -engine; fig4 refuses -engine, -trials and
+// -seed. -exp all takes every flag.
 //
 // The tool prints measured values next to the paper's reported/derived
 // values so deviations are visible at a glance. Each experiment ends with a
@@ -305,9 +304,7 @@ func example2(trials int, seed uint64) {
 			return
 		}
 		res := mc.RunWith(mc.Config{Trials: trials, Outcomes: 3, Seed: seed + uint64(inputs[0]*31+inputs[1])},
-			func(gen *rng.PCG) sim.Engine {
-				return sim.MustEngineOfKindCompiled(engineKind, comp, protected, gen)
-			},
+			func(gen *rng.PCG) sim.Engine { return sim.MustEngineOfKindCompiled(engineKind, comp, protected, gen) },
 			func(eng sim.Engine) int {
 				eng.Reset(st0, 0)
 				r := sim.Run(eng, sim.RunOptions{

@@ -90,47 +90,28 @@ func TestEngineSelectionFailsFast(t *testing.T) {
 }
 
 // TestValidateEngineSelection: every kind in sim.EngineKinds() is a valid
-// selection for -exp fig3 and runs to exit 0. Direct and optimized draw
-// the same randomness over one kernel, so their tables (timing line
-// aside) are identical.
+// selection for each experiment that races a stochastic module (fig3, ex1,
+// ex2) and runs to exit 0. Direct and optimized draw the same randomness
+// over one kernel, so their tables (timing line aside) are identical;
+// first-reaction draws differently, so its table differs. ex1 and ex2
+// used to print the default table whatever -engine said.
 func TestValidateEngineSelection(t *testing.T) {
 	bin := buildExperiments(t)
-	tables := map[sim.EngineKind]string{}
-	for _, kind := range sim.EngineKinds() {
-		out, err := exec.Command(bin, "-exp", "fig3", "-trials", "200", "-seed", "7", "-engine", string(kind)).Output()
-		if err != nil {
-			t.Fatalf("-engine %s: %v", kind, err)
-		}
-		tables[kind] = untimed(out)
-	}
-	if tables[sim.EngineDirect] != tables[sim.EngineOptimizedDirect] {
-		t.Errorf("direct and optimized Figure 3 tables differ:\n%s\n---\n%s",
-			tables[sim.EngineDirect], tables[sim.EngineOptimizedDirect])
-	}
-}
-
-// TestExamplesHonourEngine: ex1 and ex2 race on the -engine kind. The
-// default is OptimizedDirect over chem.Compile, which draws the same
-// randomness as Direct over that kernel, so -engine direct prints the
-// default table; first-reaction draws differently, so its table differs.
-// Both used to print the default table whatever -engine said.
-func TestExamplesHonourEngine(t *testing.T) {
-	bin := buildExperiments(t)
-	for _, exp := range []string{"ex1", "ex2"} {
-		run := func(engine ...string) string {
-			args := append([]string{"-exp", exp, "-trials", "200", "-seed", "3"}, engine...)
-			out, err := exec.Command(bin, args...).Output()
+	for _, exp := range []string{"fig3", "ex1", "ex2"} {
+		tables := map[sim.EngineKind]string{}
+		for _, kind := range sim.EngineKinds() {
+			out, err := exec.Command(bin, "-exp", exp, "-trials", "200", "-seed", "7", "-engine", string(kind)).Output()
 			if err != nil {
-				t.Fatalf("%v: %v", args, err)
+				t.Fatalf("-exp %s -engine %s: %v", exp, kind, err)
 			}
-			return untimed(out)
+			tables[kind] = untimed(out)
 		}
-		def := run()
-		if got := run("-engine", "direct"); got != def {
-			t.Errorf("-exp %s: direct table differs from the default:\n%s\n---\n%s", exp, got, def)
+		if tables[sim.EngineDirect] != tables[sim.EngineOptimizedDirect] {
+			t.Errorf("-exp %s: direct and optimized tables differ:\n%s\n---\n%s",
+				exp, tables[sim.EngineDirect], tables[sim.EngineOptimizedDirect])
 		}
-		if got := run("-engine", "first-reaction"); got == def {
-			t.Errorf("-exp %s: first-reaction table equals the default: -engine was ignored", exp)
+		if tables[sim.EngineFirstReaction] == tables[sim.EngineDirect] {
+			t.Errorf("-exp %s: first-reaction table equals direct's: -engine was ignored", exp)
 		}
 	}
 }

@@ -44,12 +44,8 @@ const pilotSeed = 0x70696c6f74 // "pilot"
 // that fire hot early and drain, oscillators away from their unstable
 // start — at a one-off compile cost of events × M propensity evaluations.
 // The chain is the plain embedded jump chain (no waiting times): it stops
-// early on quiescence.
-//
-// No program path calls it any more: wire-submitted networks compile with
-// Compile, as every other network does, since the pilot ordering measured
-// at parity with Compile's on the paper's wide stochastic module. Only the
-// stochbench kernel layer still mirrors the old wide-network rule.
+// early on quiescence. No program path calls it any more: wire networks
+// compile with Compile, whose order measured at parity with the pilot's.
 func CompilePilot(net *Network, events int) *Compiled {
 	numR := net.NumReactions()
 	sum := make([]float64, numR)
