@@ -279,8 +279,8 @@ func TestInfoModesRefuseOtherFlags(t *testing.T) {
 			t.Errorf("%v: want exit code 1, got %v", tc.args, err)
 			continue
 		}
-		if got := strings.Split(strings.TrimSpace(stderr.String()), "\n"); strings.Join(got, "\n") != strings.Join(tc.lines, "\n") {
-			t.Errorf("%v: stderr\n%s\nwant\n%s", tc.args, stderr.String(), strings.Join(tc.lines, "\n"))
+		if want := strings.Join(tc.lines, "\n"); strings.TrimSpace(stderr.String()) != want {
+			t.Errorf("%v: stderr\n%s\nwant\n%s", tc.args, stderr.String(), want)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("%v: output produced before the failure:\n%s", tc.args, stdout.String())

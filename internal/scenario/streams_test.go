@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -155,9 +154,6 @@ func TestStreamManifest(t *testing.T) {
 		header := "# Stream manifest: name, engine kind, grid, trials, seed and the SHA-256 of the\n" +
 			"# encoded 1-shard ShardResult. Regenerate with\n" +
 			"#   go test ./internal/scenario -run StreamManifest -update\n"
-		if err := os.MkdirAll(filepath.Dir(manifestPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(manifestPath, []byte(header+strings.Join(got, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
