@@ -66,20 +66,15 @@ func TestProjectCSV(t *testing.T) {
 	}
 }
 
-// buildCrnsim compiles the command into dir and writes the flip network
-// (a = 200, a -> b @ 1, b -> a @ 0.5) beside it.
+// buildCrnsim compiles the command into a temp dir and returns it with the
+// flip network fixture (a = 200, a -> b @ 1, b -> a @ 0.5).
 func buildCrnsim(t *testing.T) (bin, flip string) {
 	t.Helper()
-	dir := t.TempDir()
-	bin = filepath.Join(dir, "crnsim")
+	bin = filepath.Join(t.TempDir(), "crnsim")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building crnsim: %v\n%s", err, out)
 	}
-	flip = filepath.Join(dir, "flip.crn")
-	if err := os.WriteFile(flip, []byte("a = 200\nb = 0\na -> b @ 1\nb -> a @ 0.5\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return bin, flip
+	return bin, filepath.Join("testdata", "flip.crn")
 }
 
 // TestMeanRequiresTrials: -mean is an ensemble mode, so without -trials

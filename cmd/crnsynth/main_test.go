@@ -37,14 +37,21 @@ func TestBuildModule(t *testing.T) {
 	}
 }
 
-// TestGammaOnlyWithDist: -gamma shapes only the -dist stochastic module,
-// so every other mode refuses it by name, exit 2, before any output. The
-// module and lambda modes used to accept any -gamma, NaN included.
-func TestGammaOnlyWithDist(t *testing.T) {
+// buildCrnsynth compiles the command into a temp dir.
+func buildCrnsynth(t *testing.T) string {
+	t.Helper()
 	bin := filepath.Join(t.TempDir(), "crnsynth")
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("building crnsynth: %v\n%s", err, out)
 	}
+	return bin
+}
+
+// TestGammaOnlyWithDist: -gamma shapes only the -dist stochastic module,
+// so every other mode refuses it by name, exit 2, before any output. The
+// module and lambda modes used to accept any -gamma, NaN included.
+func TestGammaOnlyWithDist(t *testing.T) {
+	bin := buildCrnsynth(t)
 	for _, args := range [][]string{
 		{"-module", "exp2", "-gamma", "NaN"},
 		{"-lambda", "-gamma", "10"},
