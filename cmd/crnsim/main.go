@@ -18,15 +18,13 @@
 //	-maxtime T        stop a trajectory at simulated time T (finite, >= 0;
 //	                  default 0 = no bound)
 //	-maxsteps N       stop a trajectory after N events (N >= 0; default 1e6;
-//	                  0 = no bound); trace and final-state modes only:
-//	                  -mean needs whole trajectories, so it refuses an
-//	                  explicit -maxsteps
+//	                  0 = no bound); trace and final-state modes only
 //	-seed S           RNG seed (default 1)
 //	-validate         validate the network and exit
 //	-dot              print a Graphviz rendering and exit
 //
-// -validate and -dot refuse every other flag given with them (-validate
-// wins over -dot), one stderr line per flag, before the network is read.
+// A flag the chosen mode does not read (see modes), or one out of range,
+// exits 1 naming it, before the network is read.
 //
 // Examples:
 //
@@ -40,13 +38,25 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"strings"
 
 	"stochsynth/internal/chem"
+	"stochsynth/internal/cli"
 	"stochsynth/internal/mc"
 	"stochsynth/internal/rng"
 	"stochsynth/internal/sim"
 )
+
+// modes lists crnsim's modes and the flags each reads; main runs the first
+// whose selector is set. -mean runs every trajectory to -maxtime: an event
+// bound would bias every later grid point, so it does not read -maxsteps.
+var modes = []cli.Mode{
+	{Name: "-validate", Reads: []string{"validate"}},
+	{Name: "-dot", Reads: []string{"dot"}},
+	{Name: "-mean", Reads: []string{"mean", "trials", "species", "engine", "maxtime", "seed"}},
+	{Name: "a trace or final-state run", Reads: []string{"trials", "species", "engine", "maxtime", "maxsteps", "seed"}},
+}
 
 func main() {
 	var (
@@ -61,24 +71,30 @@ func main() {
 		dot      = flag.Bool("dot", false, "print Graphviz and exit")
 	)
 	flag.Parse()
-	// -validate and -dot simulate nothing, so they refuse every other flag.
-	mode := ""
-	if *dot {
-		mode = "dot"
-	}
-	if *validate {
-		mode = "validate"
-	}
-	refused, maxStepsSet := false, false
-	flag.Visit(func(f *flag.Flag) {
-		maxStepsSet = maxStepsSet || f.Name == "maxsteps"
-		if mode != "" && f.Name != mode {
-			fmt.Fprintf(os.Stderr, "crnsim: -%s does not apply with -%s\n", f.Name, mode)
-			refused = true
+	mode := modes[slices.Index([]bool{*validate, *dot, *mean, true}, true)]
+	outOfRange := func(name string) string {
+		switch {
+		// A NaN or negative bound would silently read as "no bound", and a
+		// -mean grid cannot end at infinity.
+		case name == "maxtime" && (math.IsNaN(*maxTime) || math.IsInf(*maxTime, 0) || *maxTime < 0):
+			return fmt.Sprintf("%v: want a finite, non-negative time (0 = no bound)", *maxTime)
+		// Likewise a negative count: sim.Run reads it as "no event bound",
+		// and a negative trial count would run the single trace.
+		case name == "maxsteps" && *maxSteps < 0:
+			return fmt.Sprintf("%d: want a non-negative event count (0 = no bound)", *maxSteps)
+		case name == "trials" && *trials < 0:
+			return fmt.Sprintf("%d: want a non-negative trial count (0 = single trace)", *trials)
 		}
-	})
-	if refused {
+		return ""
+	}
+	if mode.Refuse(flag.CommandLine, "crnsim", outOfRange) {
 		os.Exit(1)
+	}
+	if *mean && *trials <= 0 {
+		fatal(fmt.Errorf("-mean requires a positive -trials"))
+	}
+	if *mean && *maxTime <= 0 {
+		fatal(fmt.Errorf("-mean requires a positive -maxtime"))
 	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: crnsim [flags] network.crn")
@@ -111,27 +127,6 @@ func main() {
 		return
 	}
 
-	// A NaN or negative bound would silently read as "no bound", and a
-	// -mean grid cannot end at infinity.
-	if math.IsNaN(*maxTime) || math.IsInf(*maxTime, 0) || *maxTime < 0 {
-		fatal(fmt.Errorf("-maxtime %v: want a finite, non-negative time (0 = no bound)", *maxTime))
-	}
-	// Likewise a negative count: sim.Run reads it as "no event bound",
-	// and a negative trial count would run the single trace.
-	if *maxSteps < 0 {
-		fatal(fmt.Errorf("-maxsteps %d: want a non-negative event count (0 = no bound)", *maxSteps))
-	}
-	if *trials < 0 {
-		fatal(fmt.Errorf("-trials %d: want a non-negative trial count (0 = single trace)", *trials))
-	}
-	if *mean && *trials <= 0 {
-		fatal(fmt.Errorf("-mean requires a positive -trials"))
-	}
-	// A time-course averages whole trajectories; cutting some short at an
-	// event bound would bias every later grid point.
-	if *mean && maxStepsSet {
-		fatal(fmt.Errorf("-mean runs every trajectory to -maxtime and cannot honour -maxsteps"))
-	}
 	report, err := selectSpecies(net, *species)
 	if err != nil {
 		fatal(err)
@@ -153,9 +148,6 @@ func main() {
 	}
 
 	if *mean {
-		if *maxTime <= 0 {
-			fatal(fmt.Errorf("-mean requires a positive -maxtime"))
-		}
 		const points = 20
 		grid := make([]float64, points)
 		for i := range grid {

@@ -244,47 +244,3 @@ func TestFinalStateOnePass(t *testing.T) {
 		t.Fatalf("-species a,b printed\n%swant the -species a and -species b lines\n%s", both, a+b)
 	}
 }
-
-// TestInfoModesRefuseOtherFlags: -validate and -dot simulate nothing, so
-// each refuses every other flag given with it, one stderr line per flag,
-// before the network is read (the path here does not exist) and before
-// anything prints. -validate wins over -dot. Each of these used to exit 0
-// on a real network with the other flags unused.
-func TestInfoModesRefuseOtherFlags(t *testing.T) {
-	bin, flip := buildCrnsim(t)
-	missing := filepath.Join(t.TempDir(), "missing.crn")
-	for _, tc := range []struct {
-		args  []string
-		lines []string
-	}{
-		{[]string{"-validate", "-trials", "50", "-engine", "hybrid"},
-			[]string{"crnsim: -engine does not apply with -validate", "crnsim: -trials does not apply with -validate"}},
-		{[]string{"-dot", "-mean", "-maxtime", "1"},
-			[]string{"crnsim: -maxtime does not apply with -dot", "crnsim: -mean does not apply with -dot"}},
-		{[]string{"-validate", "-dot"},
-			[]string{"crnsim: -dot does not apply with -validate"}},
-	} {
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, append(tc.args, missing)...)
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		var exitErr *exec.ExitError
-		if !errors.As(err, &exitErr) || exitErr.ExitCode() != 1 {
-			t.Errorf("%v: want exit code 1, got %v", tc.args, err)
-			continue
-		}
-		if want := strings.Join(tc.lines, "\n"); strings.TrimSpace(stderr.String()) != want {
-			t.Errorf("%v: stderr\n%s\nwant\n%s", tc.args, stderr.String(), want)
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v: output produced before the failure:\n%s", tc.args, stdout.String())
-		}
-	}
-	// Alone, each mode still runs.
-	for _, mode := range []string{"-validate", "-dot"} {
-		if out, err := exec.Command(bin, mode, flip).Output(); err != nil || len(out) == 0 {
-			t.Errorf("%s on the flip network: err %v, output %q", mode, err, out)
-		}
-	}
-}

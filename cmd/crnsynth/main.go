@@ -12,9 +12,11 @@
 //
 // Flags:
 //
-//	-gamma G   -dist only: rate separation γ (default 1000); with any other
-//	           mode it exits 2 naming -gamma
+//	-gamma G   -dist only: rate separation γ (default 1000)
 //	-crn       emit parseable .crn instead of paper notation
+//
+// A flag the chosen mode does not read (see modes), a second mode flag
+// included, exits 2 naming it, before any output.
 //
 // Examples:
 //
@@ -28,13 +30,26 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"stochsynth/internal/chem"
+	"stochsynth/internal/cli"
 	"stochsynth/internal/lambda"
 	"stochsynth/internal/synth"
 )
+
+// modes lists crnsynth's modes in precedence order and the flags each
+// reads. Only -dist builds a stochastic module; every other mode's network
+// has its rates fixed, so only -dist reads -gamma.
+var modes = []cli.Mode{
+	{Name: "-dist", Reads: []string{"dist", "gamma", "crn"}},
+	{Name: "-lambda", Reads: []string{"lambda", "crn"}},
+	{Name: "-response", Reads: []string{"response", "crn"}},
+	{Name: "-module", Reads: []string{"module", "crn"}},
+	{Name: "-poly", Reads: []string{"poly", "crn"}},
+}
 
 func main() {
 	var (
@@ -48,23 +63,13 @@ func main() {
 	)
 	flag.Parse()
 
-	modes := 0
-	for _, on := range []bool{*dist != "", *doLambda, *response != "", *module != "", *poly != ""} {
-		if on {
-			modes++
-		}
-	}
-	if modes != 1 {
+	chosen := slices.Index([]bool{*dist != "", *doLambda, *response != "", *module != "", *poly != ""}, true)
+	if chosen < 0 {
 		fmt.Fprintln(os.Stderr, "crnsynth: choose exactly one of -dist, -lambda, -response, -module, -poly")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	// Only -dist builds a stochastic module; every other mode's network
-	// has its rates fixed.
-	gammaSet := false
-	flag.Visit(func(f *flag.Flag) { gammaSet = gammaSet || f.Name == "gamma" })
-	if gammaSet && *dist == "" {
-		fmt.Fprintln(os.Stderr, "crnsynth: -gamma applies to -dist only")
+	if modes[chosen].Refuse(flag.CommandLine, "crnsynth", func(string) string { return "" }) {
 		os.Exit(2)
 	}
 

@@ -15,9 +15,8 @@
 //	            direct|optimized|first-reaction|hybrid; default optimized.
 //	            See docs/engines.md.
 //
-// A flag the chosen experiment does not read exits 2 naming it: modules
-// (Direct by design) refuses -engine; fig4 refuses -engine, -trials and
-// -seed. -exp all takes every flag.
+// A flag the chosen experiment does not read (see experiments), or one out
+// of range, exits 2 naming it, before any output.
 //
 // The tool prints measured values next to the paper's reported/derived
 // values so deviations are visible at a glance. Each experiment ends with a
@@ -35,6 +34,7 @@ import (
 	"time"
 
 	"stochsynth/internal/chem"
+	"stochsynth/internal/cli"
 	"stochsynth/internal/lambda"
 	"stochsynth/internal/mc"
 	"stochsynth/internal/plot"
@@ -51,44 +51,37 @@ func main() {
 		engine = flag.String("engine", "", "simulation engine of fig3, fig5, ex1, ex2 and pipeline (default optimized)")
 	)
 	flag.Parse()
-	// Bad flags fail fast, before any experiment runs: an unknown -engine
-	// value lists sim.EngineKinds(), and every Monte Carlo runner needs at
-	// least one trial.
-	kind, err := sim.ParseEngineKind(*engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(2)
-	}
-	if *trials <= 0 {
-		fmt.Fprintf(os.Stderr, "experiments: -trials %d: want a positive trial count\n", *trials)
-		os.Exit(2)
-	}
-	engineKind = kind
-
+	// -exp all reads each flag some experiment reads.
 	var chosen []experiment
+	mode := cli.Mode{Name: "-exp " + *exp}
 	for _, e := range experiments {
 		if *exp == "all" || *exp == e.name {
 			chosen = append(chosen, e)
+			mode.Reads = append(mode.Reads, e.reads...)
 		}
 	}
 	if len(chosen) == 0 {
 		fmt.Fprintf(os.Stderr, "experiments: unknown -exp %q\n", *exp)
 		os.Exit(2)
 	}
-	// One chosen experiment refuses, by name, each flag given that it does
-	// not read; -exp all takes every flag, since some experiment reads it.
-	if *exp != "all" {
-		refused := false
-		flag.Visit(func(f *flag.Flag) {
-			if slices.Contains(chosen[0].unread, f.Name) {
-				fmt.Fprintf(os.Stderr, "experiments: -exp %s does not read -%s\n", *exp, f.Name)
-				refused = true
-			}
-		})
-		if refused {
-			os.Exit(2)
+	// Every Monte Carlo runner needs at least one trial.
+	outOfRange := func(name string) string {
+		if name == "trials" && *trials <= 0 {
+			return fmt.Sprintf("%d: want a positive trial count", *trials)
 		}
+		return ""
 	}
+	if mode.Refuse(flag.CommandLine, "experiments", outOfRange) {
+		os.Exit(2)
+	}
+	// An unknown -engine value lists sim.EngineKinds().
+	kind, err := sim.ParseEngineKind(*engine)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(2)
+	}
+	engineKind = kind
+
 	for _, e := range chosen {
 		fmt.Printf("==== %s ====\n", e.title)
 		start := time.Now()
@@ -97,27 +90,30 @@ func main() {
 	}
 }
 
-// experiment is one -exp value: its title, its body, ran, the trials it
-// runs per point at -trials n, which its timing line reports, and unread,
-// the flags its body never reads.
+// experiment is one -exp value, and so one mode: its title, its body,
+// ran, the trials it runs per point at -trials n, which its timing line
+// reports, and reads, the flags it reads.
 type experiment struct {
 	name, title string
 	run         func(trials int, seed uint64)
 	ran         func(n int) string
-	unread      []string
+	reads       []string
 }
 
+// everyFlag names each flag experiments defines.
+var everyFlag = []string{"exp", "trials", "seed", "engine"}
+
 // experiments lists every -exp value in the order -exp all runs them.
+// modules runs Direct by design, and fig4 runs no trials.
 var experiments = []experiment{
-	{"fig3", "Figure 3: stochastic-module error vs gamma", figure3, perPoint, nil},
-	{"fig4", "Figure 4: synthetic lambda model", figure4, func(int) string { return perPoint(0) },
-		[]string{"engine", "trials", "seed"}},
-	{"fig5", "Figure 5: lambda probabilistic response", figure5, perPoint, nil},
-	{"ex1", "Example 1: programmed 0.3/0.4/0.3 distribution", example1, perPoint, nil},
-	{"ex2", "Example 2: affine input dependence", example2, perPoint, nil},
-	{"modules", "Section 2.2.1: deterministic modules", modules, modulesRan, []string{"engine"}},
+	{"fig3", "Figure 3: stochastic-module error vs gamma", figure3, perPoint, everyFlag},
+	{"fig4", "Figure 4: synthetic lambda model", figure4, func(int) string { return perPoint(0) }, []string{"exp"}},
+	{"fig5", "Figure 5: lambda probabilistic response", figure5, perPoint, everyFlag},
+	{"ex1", "Example 1: programmed 0.3/0.4/0.3 distribution", example1, perPoint, everyFlag},
+	{"ex2", "Example 2: affine input dependence", example2, perPoint, everyFlag},
+	{"modules", "Section 2.2.1: deterministic modules", modules, modulesRan, []string{"exp", "trials", "seed"}},
 	{"pipeline", "Section 3 methodology: characterise -> fit -> synthesise -> validate", pipeline,
-		func(n int) string { return perPoint(pipelineTrials(n)) }, nil},
+		func(n int) string { return perPoint(pipelineTrials(n)) }, everyFlag},
 }
 
 // perPoint formats a trial count for the timing line.

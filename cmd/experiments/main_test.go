@@ -64,9 +64,10 @@ func TestEngineSelectionFailsFast(t *testing.T) {
 		{[]string{"-exp", "fig3", "-trials", "0"},
 			[]string{"-trials 0", "positive"}},
 		{[]string{"-exp", "modules", "-engine", "first-reaction", "-trials", "20"},
-			[]string{"-exp modules does not read -engine"}},
+			[]string{"experiments: -engine does not apply with -exp modules"}},
 		{[]string{"-exp", "fig4", "-engine", "hybrid", "-trials", "5", "-seed", "3"},
-			[]string{"-exp fig4 does not read -engine", "-exp fig4 does not read -trials", "-exp fig4 does not read -seed"}},
+			[]string{"experiments: -engine does not apply with -exp fig4", "experiments: -seed does not apply with -exp fig4",
+				"experiments: -trials does not apply with -exp fig4"}},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

@@ -46,11 +46,10 @@
 //	-journal PATH  crash-safe shard journal; an existing journal resumes
 //	-retries R     re-dispatch attempts per failing shard (default 1;
 //	               0 = none)
-//	-list          print the registered sweep ids and exit; takes no
-//	               other flag
+//	-list          print the registered sweep ids and exit
 //
 // Flags (model mode, replacing -sweep; a registered -sweep fixes its own
-// engine and observable, so it rejects them):
+// engine and observable):
 //
 //	-model FILE         network in the chem reaction-text format
 //	-obs KIND           observable kind: race or endpoint
@@ -65,11 +64,8 @@
 //	-hist LO:WIDTH:BINS histogram layout; makes the sweep a distribution
 //	                    sweep (full per-point summaries, like -dist sweeps)
 //
-// A worker or coordinator never ignores a flag it cannot use: -serve or
-// -list with any other flag, a model flag with -sweep, -shard-timeout
-// without -workers, -shards below 1 and a negative -retries or
-// -shard-timeout each exit 1 naming the flag, before anything runs, listens
-// or prints. -serve takes precedence over -list.
+// A flag the chosen mode does not read (see modes), or one out of range,
+// exits 1 naming it, before anything runs, listens or prints.
 package main
 
 import (
@@ -78,17 +74,34 @@ import (
 	"net"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"stochsynth/internal/cli"
 	"stochsynth/internal/mc"
 	"stochsynth/internal/plot"
 	"stochsynth/internal/scenario"
 	"stochsynth/internal/shard"
 )
+
+// coordinated lists the flags every coordinator mode reads.
+var coordinated = []string{"params", "trials", "seed", "shards", "workers", "shard-timeout", "journal", "retries"}
+
+// modes lists sweepd's modes and the flags each reads; main runs the first
+// whose selector is set.
+// A worker runs the shards its coordinators send; a registered -sweep
+// fixes its own engine and observable, so it reads no model flag.
+var modes = []cli.Mode{
+	{Name: "-serve", Reads: []string{"serve"}},
+	{Name: "-list", Reads: []string{"list"}},
+	{Name: "-sweep", Reads: append([]string{"sweep"}, coordinated...)},
+	{Name: "-model", Reads: append([]string{"model", "obs", "obs-a", "obs-b", "obs-value",
+		"param-species", "param-rate", "engine", "max-steps", "hist"}, coordinated...)},
+}
 
 func main() {
 	var (
@@ -117,22 +130,9 @@ func main() {
 	)
 	flag.Parse()
 
-	// Each mode reads only some flags. One pass over the flags given on
-	// the command line (Visit skips the rest, so -obs counts even when it
-	// repeats its default) names every flag the mode cannot use, and every
-	// count out of range, before anything runs, listens or prints.
-	refusal := func(name string) string {
+	mode := modes[slices.Index([]bool{*serve != "", *list, *sweep != "", true}, true)]
+	outOfRange := func(name string) string {
 		switch {
-		case *serve != "":
-			if name != "serve" {
-				return "cannot be used with -serve: a worker runs the shards its coordinators send"
-			}
-		case *list:
-			if name != "list" {
-				return "cannot be used with -list: it prints the registered sweep ids and exits"
-			}
-		case modelOnly[name] && *sweep != "":
-			return fmt.Sprintf("can be used only with -model: -sweep %s fixes its own engine and observable", *sweep)
 		case name == "shard-timeout" && *workers == "":
 			return "can be used only with -workers: in-process shards have no round trip to bound"
 		case name == "shard-timeout" && *shardTO < 0:
@@ -144,14 +144,7 @@ func main() {
 		}
 		return ""
 	}
-	refused := false
-	flag.Visit(func(f *flag.Flag) {
-		if why := refusal(f.Name); why != "" {
-			fmt.Fprintf(os.Stderr, "sweepd: -%s %s\n", f.Name, why)
-			refused = true
-		}
-	})
-	if refused {
+	if mode.Refuse(flag.CommandLine, "sweepd", outOfRange) {
 		os.Exit(1)
 	}
 
@@ -178,13 +171,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// modelOnly holds the flags that shape a -model sweep; a registered
-// -sweep fixes its own engine and observable.
-var modelOnly = map[string]bool{
-	"obs": true, "obs-a": true, "obs-b": true, "obs-value": true,
-	"param-species": true, "param-rate": true, "engine": true, "max-steps": true, "hist": true,
 }
 
 // modelFlags bundles the -model flag set; zero path means registry mode.
@@ -290,9 +276,6 @@ func serveWorker(reg *shard.Registry, addr string) error {
 func coordinate(reg *shard.Registry, sweep string, model modelFlags, params string, trials int, seed uint64, shards_ int, workers string, shardTimeout time.Duration, journal string, retries int) error {
 	if sweep == "" && model.path == "" {
 		return fmt.Errorf("missing -sweep (known: %s) or -model; or use -serve / -list", strings.Join(reg.Names(), ", "))
-	}
-	if sweep != "" && model.path != "" {
-		return fmt.Errorf("-sweep and -model are mutually exclusive")
 	}
 	grid, err := parseGrid(params)
 	if err != nil {

@@ -450,45 +450,6 @@ func TestUnknownSweepFailsFastListingBuiltins(t *testing.T) {
 	}
 }
 
-// TestSweepRejectsModelFlags: a registered -sweep fixes its own engine and
-// observable, so coordinator mode must reject any model flag given with
-// it, naming each one, before any shard runs — even -obs at its default
-// value. Ignoring them would run a different engine or observable than the
-// command asks for.
-func TestSweepRejectsModelFlags(t *testing.T) {
-	bin := buildSweepd(t)
-	for _, tc := range []struct {
-		args []string
-		want []string
-	}{
-		{[]string{"-sweep", "lambda/natural", "-engine", "bogus", "-hist", "0:1:10", "-obs-a", "x:3", "-params", "1", "-trials", "20"},
-			[]string{"-engine", "-hist", "-obs-a"}},
-		{[]string{"-sweep", "lambda/natural", "-engine", "hybrid", "-params", "1", "-trials", "20"},
-			[]string{"-engine"}},
-		{[]string{"-sweep", "lambda/natural", "-obs", "race", "-obs-b", "y:1", "-obs-value", "y",
-			"-param-species", "y", "-param-rate", "k", "-max-steps", "9", "-params", "1", "-trials", "20"},
-			[]string{"-obs", "-obs-b", "-obs-value", "-param-species", "-param-rate", "-max-steps"}},
-	} {
-		var stdout, stderr bytes.Buffer
-		cmd := exec.Command(bin, tc.args...)
-		cmd.Stdout = &stdout
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		exitErr, ok := err.(*exec.ExitError)
-		if !ok || exitErr.ExitCode() != 1 {
-			t.Fatalf("%v: want exit code 1, got %v\nstdout:\n%s", tc.args, err, stdout.String())
-		}
-		for _, name := range tc.want {
-			if !strings.Contains(stderr.String(), name+",") && !strings.Contains(stderr.String(), name+" ") {
-				t.Errorf("%v: stderr %q does not name %s", tc.args, stderr.String(), name)
-			}
-		}
-		if stdout.Len() != 0 {
-			t.Errorf("%v: sweep appears to have run before the failure:\n%s", tc.args, stdout.String())
-		}
-	}
-}
-
 // TestShardTimeoutRequiresWorkers: -shard-timeout bounds a network round
 // trip, so without -workers it fails naming the flag before any output,
 // in registry and model mode alike, instead of being silently ignored.
@@ -517,14 +478,11 @@ func TestShardTimeoutRequiresWorkers(t *testing.T) {
 	}
 }
 
-// TestFlagsRefusedByName: out-of-range counts and flags a -serve worker or
-// -list cannot use exit 1 naming each flag, before any output. Read as
-// they used to be, -shards below 1 ran one shard, a negative -retries no
-// retries and a negative -shard-timeout no deadline, each exiting 0,
-// -serve ignored the rest and served, and -list ignored the rest and
-// printed the sweep ids. -serve takes precedence, so it refuses -list. The deadline case runs against a
-// live worker, so only the refusal, not a failed dial, can stop it; the
-// test's deadline kills a worker that serves anyway.
+// TestFlagsRefusedByName: out-of-range counts exit 1 naming each flag,
+// before any output. Read as they used to be, -shards below 1 ran one
+// shard, a negative -retries no retries and a negative -shard-timeout no
+// deadline, each exiting 0. The deadline case runs against a live worker,
+// so only the refusal, not a failed dial, can stop it.
 func TestFlagsRefusedByName(t *testing.T) {
 	bin := buildSweepd(t)
 	addr, _ := startServeWorker(t, bin)
@@ -537,11 +495,6 @@ func TestFlagsRefusedByName(t *testing.T) {
 		{append(sweep, "-shards", "0"), []string{"-shards"}},
 		{append(sweep, "-retries", "-3"), []string{"-retries"}},
 		{append(sweep, "-shard-timeout", "-1s", "-workers", addr), []string{"-shard-timeout"}},
-		{[]string{"-serve", "127.0.0.1:0", "-sweep", "bogus/x", "-journal", filepath.Join(t.TempDir(), "missing", "j"), "-shard-timeout", "1s"},
-			[]string{"-sweep", "-journal", "-shard-timeout"}},
-		{[]string{"-list", "-sweep", "bogus/x", "-journal", filepath.Join(t.TempDir(), "missing", "j"), "-params", "nope"},
-			[]string{"-sweep", "-journal", "-params"}},
-		{[]string{"-serve", "127.0.0.1:0", "-list"}, []string{"-list"}},
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		var stdout, stderr bytes.Buffer
