@@ -12,10 +12,10 @@ import "sort"
 //
 // Lowering performs three transformations:
 //
-//   - Term packing: reactant terms and net state deltas become CSR arrays
-//     (per-channel offset slices into flat species/coefficient arrays), so
-//     Propensity and Apply touch contiguous memory with no per-reaction
-//     slice headers.
+//   - Term packing: reactant terms become CSR arrays (per-channel offset
+//     slices into flat species/coefficient arrays) and net state deltas
+//     packed per-channel rows, so Propensity and Apply touch contiguous
+//     memory with no per-reaction slice headers.
 //   - Propensity opcodes: each channel is classified once into a small
 //     opcode (const / linear / bilinear / dimer / trimer / generic) so the
 //     per-step propensity evaluation is a branch-predictable switch whose
@@ -49,13 +49,6 @@ type Compiled struct {
 	ReactSpecies []int32
 	ReactCoeff   []int64
 
-	// Net state deltas in CSR form: firing channel c adds DeltaCoeff[k] to
-	// species DeltaSpecies[k] for k in [DeltaStart[c], DeltaStart[c+1]).
-	// Species with zero net change (catalysts) carry no entry.
-	DeltaStart   []int32
-	DeltaSpecies []int32
-	DeltaCoeff   []int64
-
 	// Dependency graph in CSR form, in compiled channel indices: after
 	// channel c fires, the propensities of channels
 	// DepList[DepStart[c]:DepStart[c+1]] (sorted ascending) may have
@@ -64,9 +57,12 @@ type Compiled struct {
 	DepStart []int32
 	DepList  []int32
 
-	// Packed per-channel fire programs: the delta and dependent-refresh
-	// rows above with every operand pre-gathered into sequential records,
-	// so FireAndRefresh streams one contiguous program instead of
+	// Packed per-channel fire programs. Firing channel c applies the net
+	// state deltas FireDelta[FireDeltaStart[c]:FireDeltaStart[c+1]], in
+	// species order; species with zero net change (catalysts) carry no
+	// entry. The dependent-refresh rows are the dependency rows above with
+	// every operand pre-gathered into sequential records, so
+	// FireAndRefresh streams one contiguous program instead of
 	// index-chasing through the SoA columns.
 	//
 	// Linear, bilinear and dimer dependents (the overwhelmingly common
@@ -252,17 +248,17 @@ func compileOrdered(net *Network, order []int, a0 []float64) *Compiled {
 		panic("chem: compile ordering length does not match reaction count")
 	}
 	c := &Compiled{
-		net:        net,
-		Perm:       make([]int32, numR),
-		Channel:    make([]int32, numR),
-		Op:         make([]PropOp, numR),
-		Rate:       make([]float64, numR),
-		S1:         make([]int32, numR),
-		S2:         make([]int32, numR),
-		ReactStart: make([]int32, numR+1),
-		DeltaStart: make([]int32, numR+1),
-		DepStart:   make([]int32, numR+1),
-		OrderProp:  make([]float64, numR),
+		net:            net,
+		Perm:           make([]int32, numR),
+		Channel:        make([]int32, numR),
+		Op:             make([]PropOp, numR),
+		Rate:           make([]float64, numR),
+		S1:             make([]int32, numR),
+		S2:             make([]int32, numR),
+		ReactStart:     make([]int32, numR+1),
+		FireDeltaStart: make([]int32, numR+1),
+		DepStart:       make([]int32, numR+1),
+		OrderProp:      make([]float64, numR),
 	}
 	seen := make([]bool, numR)
 	for ch, i := range order {
@@ -296,11 +292,10 @@ func compileOrdered(net *Network, order []int, a0 []float64) *Compiled {
 
 		for s, d := range Delta(r, net.NumSpecies()) {
 			if d != 0 {
-				c.DeltaSpecies = append(c.DeltaSpecies, int32(s))
-				c.DeltaCoeff = append(c.DeltaCoeff, d)
+				c.FireDelta = append(c.FireDelta, DeltaInstr{S: int32(s), D: d})
 			}
 		}
-		c.DeltaStart[ch+1] = int32(len(c.DeltaSpecies))
+		c.FireDeltaStart[ch+1] = int32(len(c.FireDelta))
 	}
 
 	// Dependency graph, remapped into compiled channel indices and re-sorted
@@ -322,22 +317,20 @@ func compileOrdered(net *Network, order []int, a0 []float64) *Compiled {
 	return c
 }
 
-// packFirePrograms lowers the CSR delta and dependency rows into the
-// packed fire programs FireAndRefresh streams.
+// packFirePrograms lowers the dependency rows into the packed refresh
+// programs FireAndRefresh streams.
 func (c *Compiled) packFirePrograms() {
 	numR := c.NumChannels()
-	c.FireDeltaStart = make([]int32, numR+1)
 	c.RefStart = make([]int32, numR+1)
 	c.TailStart = make([]int32, numR+1)
 
 	phantom := int32(c.NumSpecies()) // always-one slot of NewStateVec
 	delta := make([]int64, c.NumSpecies()+1)
 	for ch := 0; ch < numR; ch++ {
-		for k := c.DeltaStart[ch]; k < c.DeltaStart[ch+1]; k++ {
-			c.FireDelta = append(c.FireDelta, DeltaInstr{S: c.DeltaSpecies[k], D: c.DeltaCoeff[k]})
-			delta[c.DeltaSpecies[k]] = c.DeltaCoeff[k]
+		row := c.FireDelta[c.FireDeltaStart[ch]:c.FireDeltaStart[ch+1]]
+		for _, ins := range row {
+			delta[ins.S] = ins.D
 		}
-		c.FireDeltaStart[ch+1] = int32(len(c.FireDelta))
 		for k := c.DepStart[ch]; k < c.DepStart[ch+1]; k++ {
 			j := c.DepList[k]
 			ins := RefreshInstr{J: j, S1: c.S1[j], S2: phantom, Rate: c.Rate[j]}
@@ -364,8 +357,8 @@ func (c *Compiled) packFirePrograms() {
 		}
 		c.RefStart[ch+1] = int32(len(c.Refs))
 		c.TailStart[ch+1] = int32(len(c.Tails))
-		for k := c.DeltaStart[ch]; k < c.DeltaStart[ch+1]; k++ {
-			delta[c.DeltaSpecies[k]] = 0
+		for _, ins := range row {
+			delta[ins.S] = 0
 		}
 	}
 
@@ -554,7 +547,7 @@ func (c *Compiled) PropensitiesInto(st State, prop []float64) float64 {
 	return total
 }
 
-// FireAndRefresh fires channel ch — applies its CSR delta row to st — and
+// FireAndRefresh fires channel ch — applies its delta row to st — and
 // then recomputes the propensities of ch's dependents into prop, updating
 // the running total (one total += a_new − a_old per dependent, in
 // dependency order). It returns the updated total. Like Apply, it assumes
@@ -600,15 +593,15 @@ func (c *Compiled) FireAndRefresh(ch int, st State, prop []float64, total float6
 	return total
 }
 
-// Apply fires channel ch once by sweeping its CSR delta row. It assumes the
+// Apply fires channel ch once by sweeping its packed delta row. It assumes the
 // caller has established applicability (a positive propensity implies
 // sufficient reactants); unlike State.Apply it performs no negative-count
 // check, so it is only for engine hot paths.
 //
 //stochlint:noalloc
 func (c *Compiled) Apply(ch int, st State) {
-	for k := c.DeltaStart[ch]; k < c.DeltaStart[ch+1]; k++ {
-		st[c.DeltaSpecies[k]] += c.DeltaCoeff[k]
+	for _, ins := range c.FireDelta[c.FireDeltaStart[ch]:c.FireDeltaStart[ch+1]] {
+		st[ins.S] += ins.D
 	}
 }
 

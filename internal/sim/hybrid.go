@@ -183,8 +183,8 @@ func NewHybridCompiled(comp *chem.Compiled, protected []chem.Species, gen *rng.P
 	}
 	h.movesGating = make([]bool, comp.NumChannels())
 	for c := range h.movesGating {
-		for j := comp.DeltaStart[c]; j < comp.DeltaStart[c+1]; j++ {
-			if gating[comp.DeltaSpecies[j]] {
+		for _, ins := range comp.FireDelta[comp.FireDeltaStart[c]:comp.FireDeltaStart[c+1]] {
+			if gating[ins.S] {
 				h.movesGating[c] = true
 				break
 			}
