@@ -37,11 +37,8 @@ func (s SweepSpec) Shard(lo, hi int) ShardSpec {
 // emptyResult is the complete result of a zero-trial sweep: every point
 // carries the empty tally of its kind and no trial ranges are covered.
 func (s SweepSpec) emptyResult() ShardResult {
-	r := ShardResult{
-		Version: FormatVersion, Sweep: s.Sweep, Grid: s.Grid, Trials: s.Trials,
-		Seed: s.Seed, Outcomes: s.Outcomes, Numeric: s.Numeric, Dist: s.Dist,
-		Points: make([]PointTally, len(s.Grid)),
-	}
+	r := resultHeader(s.Shard(0, s.Trials))
+	r.Points = make([]PointTally, len(s.Grid))
 	for i, p := range s.Grid {
 		pt := PointTally{Param: p}
 		if !s.Numeric && !s.Dist {
@@ -244,11 +241,7 @@ func runShard(sp ShardSpec, run Runner, journal *Journal, retries int) (ShardRes
 // checkShardResult enforces that a worker answered the shard it was
 // asked: same sweep identity and exactly the spec's trial range.
 func checkShardResult(sp ShardSpec, res ShardResult) error {
-	want := ShardResult{
-		Version: FormatVersion, Sweep: sp.Sweep, Grid: sp.Grid, Trials: sp.Trials,
-		Seed: sp.Seed, Outcomes: sp.Outcomes, Numeric: sp.Numeric, Dist: sp.Dist,
-	}
-	if err := headerCompatible(want, res); err != nil {
+	if err := headerCompatible(resultHeader(sp), res); err != nil {
 		return err
 	}
 	wantRanges := []Range{{Lo: sp.Lo, Hi: sp.Hi}}

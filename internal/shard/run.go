@@ -38,11 +38,8 @@ func Run(spec ShardSpec, reg *Registry) (ShardResult, error) {
 			spec.Sweep, factory.Outcomes, spec.Outcomes)
 	}
 
-	out := ShardResult{
-		Version: FormatVersion, Sweep: spec.Sweep, Grid: spec.Grid, Trials: spec.Trials,
-		Seed: spec.Seed, Outcomes: spec.Outcomes, Numeric: spec.Numeric, Dist: spec.Dist,
-		Points: make([]PointTally, len(spec.Grid)),
-	}
+	out := resultHeader(spec)
+	out.Points = make([]PointTally, len(spec.Grid))
 	if spec.Hi > spec.Lo {
 		out.Ranges = []Range{{Lo: spec.Lo, Hi: spec.Hi}}
 	}
