@@ -16,9 +16,11 @@ import (
 // crnsim defines that the mode does not read, the mode's selecting args
 // plus -flag=<default> exit 1 with exactly one stderr line naming the flag
 // and nothing on stdout; all of those flags at once print one line each,
-// in flag order. The network path does not exist, so only the flag pass
-// can end a run. The test fails when a flag is read by no mode, or when a
-// mode has no selecting args here.
+// in flag order. Given with a later mode's selecting args, a mode names
+// that mode's selector: the table is in precedence order. The network
+// path does not exist, so only the flag pass can end a run. The test fails
+// when a flag is read by no mode, or when a mode has no selecting args
+// here.
 func TestModeTable(t *testing.T) {
 	bin, _ := buildCrnsim(t)
 	missing := filepath.Join(t.TempDir(), "missing.crn")
@@ -42,7 +44,7 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("no mode reads -%s", f)
 		}
 	}
-	for _, m := range modes {
+	for i, m := range modes {
 		sel, ok := selectors[m.Name]
 		if !ok {
 			t.Errorf("mode %s has no selecting args", m.Name)
@@ -60,6 +62,12 @@ func TestModeTable(t *testing.T) {
 		}
 		if len(unread) > 1 {
 			expectRefusal(t, bin, slices.Concat(sel, unread, []string{missing}), lines)
+		}
+		for _, later := range modes[i+1:] {
+			if lsel := selectors[later.Name]; len(lsel) > 0 {
+				expectRefusal(t, bin, slices.Concat(sel, lsel, []string{missing}),
+					fmt.Sprintf("crnsim: %s does not apply with %s\n", lsel[0], m.Name))
+			}
 		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 // crnsynth defines that the mode does not read, a second mode flag
 // included, the mode's selecting args plus -flag=<default> exit 2 with
 // exactly one stderr line naming the flag and nothing on stdout; all of
-// those flags at once print one line each, in flag order. The test fails
-// when a flag is read by no mode, or when a mode has no selecting args
-// here.
+// those flags at once print one line each, in flag order. Given with a
+// later mode's selecting args, a mode names that mode's selector: the
+// table is in precedence order. The test fails when a flag is read by no
+// mode, or when a mode has no selecting args here.
 func TestModeTable(t *testing.T) {
 	bin := buildCrnsynth(t)
 	selectors := map[string][]string{
@@ -41,7 +42,7 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("no mode reads -%s", f)
 		}
 	}
-	for _, m := range modes {
+	for i, m := range modes {
 		sel, ok := selectors[m.Name]
 		if !ok {
 			t.Errorf("mode %s has no selecting args", m.Name)
@@ -59,6 +60,12 @@ func TestModeTable(t *testing.T) {
 		}
 		if len(unread) > 1 {
 			expectRefusal(t, bin, slices.Concat(sel, unread), lines)
+		}
+		for _, later := range modes[i+1:] {
+			if lsel := selectors[later.Name]; len(lsel) > 0 {
+				expectRefusal(t, bin, slices.Concat(sel, lsel),
+					fmt.Sprintf("crnsynth: %s does not apply with %s\n", lsel[0], m.Name))
+			}
 		}
 	}
 }

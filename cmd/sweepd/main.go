@@ -92,9 +92,9 @@ import (
 var coordinated = []string{"params", "trials", "seed", "shards", "workers", "shard-timeout", "journal", "retries"}
 
 // modes lists sweepd's modes and the flags each reads; main runs the first
-// whose selector is set.
-// A worker runs the shards its coordinators send; a registered -sweep
-// fixes its own engine and observable, so it reads no model flag.
+// whose selector is set. A worker runs the shards its coordinators send,
+// and a registered -sweep fixes its own engine and observable, so it reads
+// no model flag.
 var modes = []cli.Mode{
 	{Name: "-serve", Reads: []string{"serve"}},
 	{Name: "-list", Reads: []string{"list"}},

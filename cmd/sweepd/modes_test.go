@@ -15,9 +15,10 @@ import (
 // sweepd defines that the mode does not read, the mode's selecting args
 // plus -flag=<default> exit 1 with exactly one stderr line naming the flag
 // and nothing on stdout; all of those flags at once print one line each,
-// in flag order. run kills a -serve worker that serves anyway. The test
-// fails when a flag is read by no mode, or when a mode has no selecting
-// args here.
+// in flag order. Given with a later mode's selecting args, a mode names
+// that mode's selector: the table is in precedence order. run kills a
+// -serve worker that serves anyway. The test fails when a flag is read by
+// no mode, or when a mode has no selecting args here.
 func TestModeTable(t *testing.T) {
 	bin := buildSweepd(t)
 	selectors := map[string][]string{
@@ -40,7 +41,7 @@ func TestModeTable(t *testing.T) {
 			t.Errorf("no mode reads -%s", f)
 		}
 	}
-	for _, m := range modes {
+	for i, m := range modes {
 		sel, ok := selectors[m.Name]
 		if !ok {
 			t.Errorf("mode %s has no selecting args", m.Name)
@@ -58,6 +59,12 @@ func TestModeTable(t *testing.T) {
 		}
 		if len(unread) > 1 {
 			expectRefusal(t, bin, slices.Concat(sel, unread), lines)
+		}
+		for _, later := range modes[i+1:] {
+			if lsel := selectors[later.Name]; len(lsel) > 0 {
+				expectRefusal(t, bin, slices.Concat(sel, lsel),
+					fmt.Sprintf("sweepd: %s does not apply with %s\n", lsel[0], m.Name))
+			}
 		}
 	}
 }
